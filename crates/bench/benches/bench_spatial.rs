@@ -93,15 +93,6 @@ fn bench_spatial(c: &mut Criterion) {
             black_box(total)
         })
     });
-    g.bench_function("bkdtree_count_at_least_4", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for q in &queries {
-                total += usize::from(bkd.count_at_least(q, eps, 4, &mut scratch));
-            }
-            black_box(total)
-        })
-    });
     g.bench_function("brute_force", |b| {
         b.iter(|| {
             let mut total = 0usize;

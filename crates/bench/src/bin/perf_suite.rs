@@ -13,9 +13,10 @@
 //!    the planner only moves cuts, never labels — and the suite exits
 //!    non-zero if they are not.
 //! 2. **Kernels** — `scan_block` (dispatching to the monomorphized
-//!    `D = 2/3/4` kernels) against `scan_block_generic` on the same
-//!    block, reported as queries/sec per dimension, with the generic
-//!    fallback dim included as the control.
+//!    fixed-`D` kernels) against `scan_block_generic` on the same block
+//!    at `d = 2..=5`, reported as queries/sec per dimension. Every
+//!    query is a row of the block, so each one hits at every dimension;
+//!    the suite exits non-zero if a row reports zero matches.
 //!
 //! Results land in `<out_dir>/BENCH_PR4.json` for EXPERIMENTS.md and
 //! the CI artifact.
@@ -39,16 +40,17 @@
 //!    spilled bytes nonzero. Results land in `<out_dir>/BENCH_PR7.json`
 //!    and the suite exits non-zero on any violation.
 //!
-//! 5. **Data layout & batching (PR 9)** — leaf-scan kernel throughput:
-//!    the dimension-major SoA lane kernel against the row-major scalar
-//!    scan over the same bucketed tree's leaves at `d = 2..=6`
-//!    (acceptance: >= 1.5x at d in {2,3,4}), plus an end-to-end
-//!    identity matrix (scalar / lanes / batched / count-fast-path at
-//!    1, 2 and 8 worker threads) whose labels — and traces, modulo the
-//!    zero-tick `TaskKernel` events for the fast path — must be
-//!    byte-identical to the scalar reference. Results land in
-//!    `<out_dir>/BENCH_PR9.json`; the suite exits non-zero on any
-//!    identity violation or a missed throughput floor.
+//! 5. **Data layout** — leaf-scan kernel throughput: the
+//!    dimension-major SoA lane kernel against the row-major scalar scan
+//!    over the same bucketed tree's leaves at `d = 2..=6`
+//!    (acceptance: >= 1.5x at d in {2,3,4}), with dataset rows as
+//!    queries so every dimension times the hit path, plus an end-to-end
+//!    identity matrix (scalar / lanes at 1, 2 and 8 worker threads)
+//!    whose labels and traces must be byte-identical to the scalar
+//!    reference. Results
+//!    land in `<out_dir>/BENCH_PR9.json`; the suite exits non-zero on
+//!    any identity violation, a row with zero hits or a missed
+//!    throughput floor.
 //!
 //! 6. **Speculative execution (PR 10)** — the straggler tail: one
 //!    traced run with simulated stragglers (`prob = 0.3`,
@@ -317,12 +319,16 @@ fn kernel_qps(
 
 fn kernel_experiment(rows: usize, queries: usize) -> Vec<KernelRow> {
     let mut out = Vec::new();
-    // 2/3/4 exercise the monomorphized kernels, 5 the generic fallback
     for dim in [2usize, 3, 4, 5] {
         // deterministic pseudo-data, no RNG needed for a throughput test
         let block: Vec<f64> = (0..rows * dim).map(|i| ((i as f64) * 0.731).sin() * 500.0).collect();
+        // block rows as queries: every query matches at least itself,
+        // whatever the dimension, so the match path is always timed
         let qs: Vec<Vec<f64>> = (0..queries)
-            .map(|q| (0..dim).map(|k| (((q * dim + k) as f64) * 1.37).cos() * 500.0).collect())
+            .map(|q| {
+                let r = q * rows / queries;
+                block[r * dim..(r + 1) * dim].to_vec()
+            })
             .collect();
         let thr = Metric::Euclidean.threshold(EPS);
         // one warm-up pass per path, then the measured pass
@@ -596,11 +602,9 @@ struct LeafScanRow {
 /// One cell of the end-to-end kernel identity matrix.
 #[derive(Serialize)]
 struct IdentityCell {
-    config: String,
+    config: &'static str,
     worker_threads: usize,
     labels_identical: bool,
-    /// Full trace for scalar/lanes/batched cells; modulo the zero-tick
-    /// `TaskKernel` events for fast-path cells (their counters shrink).
     trace_identical: bool,
     kernel_rows_scanned: u64,
     kernel_early_exits: u64,
@@ -627,7 +631,7 @@ struct ReportPr9 {
 /// scan and once through the dimension-major SoA lane kernel. Both
 /// paths must report the same hit count (they are bit-identical by
 /// construction; the counter is a cheap cross-check that also defeats
-/// dead-code elimination).
+/// dead-code elimination, and proves the hit path ran).
 fn leaf_scan_row(dim: usize, n: usize, queries: usize) -> LeafScanRow {
     let rows: Vec<Vec<f64>> = (0..n)
         .map(|i| (0..dim).map(|k| (((i * dim + k) as f64) * 0.711).sin() * 500.0).collect())
@@ -636,9 +640,8 @@ fn leaf_scan_row(dim: usize, n: usize, queries: usize) -> LeafScanRow {
     let cfg = BuildConfig::default().with_bucket_size(64);
     let (tree, _) = BkdTree::build_with_report(Arc::clone(&ds), Metric::Euclidean, cfg);
     let leaves = tree.leaf_ranges();
-    let qs: Vec<Vec<f64>> = (0..queries)
-        .map(|q| (0..dim).map(|k| (((q * dim + k) as f64) * 1.37).cos() * 500.0).collect())
-        .collect();
+    // dataset rows as queries: each hits at least itself at every dim
+    let qs: Vec<Vec<f64>> = (0..queries).map(|q| ds.row(q * n / queries).to_vec()).collect();
     let thr = Metric::Euclidean.threshold(EPS * 2.0);
 
     let scalar_pass = || {
@@ -738,32 +741,16 @@ fn kernel_layout_experiment(out_dir: &str) {
     let (ref_out, ref_trace) = run_cell(KernelConfig::scalar(), 1);
     let ref_labels = ref_out.clustering.canonicalize().labels;
 
-    let arms: Vec<(String, KernelConfig, usize, bool)> = {
-        let mut v = Vec::new();
-        for workers in [1usize, 2, 8] {
-            v.push(("scalar".to_string(), KernelConfig::scalar(), workers, false));
-            v.push(("lanes".to_string(), KernelConfig::default(), workers, false));
-            v.push(("batch32".to_string(), KernelConfig::default().with_batch(32), workers, false));
-        }
-        v.push((
-            "batch32-fast".to_string(),
-            KernelConfig::default().with_batch(32).with_count_fast_path(true),
-            2,
-            true,
-        ));
-        v.push(("fast".to_string(), KernelConfig::default().with_count_fast_path(true), 2, true));
-        v
-    };
+    let arms = [1usize, 2, 8].into_iter().flat_map(|workers| {
+        [("scalar", KernelConfig::scalar()), ("lanes", KernelConfig::default())]
+            .map(|(name, kernel)| (name, kernel, workers))
+    });
 
     let mut cells = Vec::new();
-    for (name, kernel, workers, fast) in arms {
+    for (name, kernel, workers) in arms {
         let (out, trace) = run_cell(kernel, workers);
         let labels_identical = out.clustering.canonicalize().labels == ref_labels;
-        let trace_identical = if fast {
-            trace.without_kernel().events == ref_trace.without_kernel().events
-        } else {
-            trace.events == ref_trace.events
-        };
+        let trace_identical = trace.events == ref_trace.events;
         let rows: u64 = out.executor_stats.iter().map(|(_, s)| s.kernel.rows_scanned).sum();
         let exits: u64 = out.executor_stats.iter().map(|(_, s)| s.kernel.early_exits).sum();
         println!(
@@ -806,6 +793,10 @@ fn kernel_layout_experiment(out_dir: &str) {
     }
     if !all_traces {
         eprintln!("FAIL: a kernel configuration changed the event trace");
+        std::process::exit(1);
+    }
+    if let Some(r) = report_value.leaf_scan.iter().find(|r| r.hits == 0) {
+        eprintln!("FAIL: leaf-scan row at dim {} reported zero hits", r.dim);
         std::process::exit(1);
     }
     if min_speedup_d2_4 < 1.5 {
@@ -1078,6 +1069,10 @@ fn main() {
 
     if !identical {
         eprintln!("FAIL: cost-balanced labels differ from equal-count labels");
+        std::process::exit(1);
+    }
+    if let Some(r) = report_value.kernels.iter().find(|r| r.matches == 0) {
+        eprintln!("FAIL: kernel row at dim {} reported zero matches", r.dim);
         std::process::exit(1);
     }
     if cost_work > count_work {

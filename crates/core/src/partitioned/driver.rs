@@ -13,7 +13,8 @@ use crate::label::Clustering;
 use crate::model::{PartialCluster, PartitionRanges};
 use crate::params::DbscanParams;
 use crate::partitioned::executor_side::{
-    local_partial_clusters_source, ExecutorScratch, ExecutorStats, TreeNeighborSource,
+    local_partial_clusters_scratch, ExecutorScratch, ExecutorStats, NeighborSource,
+    TreeNeighborSource,
 };
 use crate::partitioned::merge::{
     extract_seed_edges, merge_partial_clusters, merge_with_edges, MergeStrategy,
@@ -380,14 +381,6 @@ impl SparkDbscan {
             .mem_hints(hints)
             .foreach_partition(move |part, _indices| {
                 let info = bcast.value();
-                // batched expansion and early-exit counting require the
-                // exact tree path: under pruned queries they fall back
-                // to the (byte-identical) scalar loop
-                let kernel = if info.prune == PruneConfig::EXACT {
-                    info.tree.kernel_config()
-                } else {
-                    info.tree.kernel_config().with_batch(0).with_count_fast_path(false)
-                };
                 // per-worker scratch: the query traversal stack and the
                 // epoch-stamped expansion state persist across tasks,
                 // so the hot path allocates nothing in steady state
@@ -396,14 +389,13 @@ impl SparkDbscan {
                     qscratch.counters = KernelCounters::default();
                     let mut source =
                         TreeNeighborSource::new(&info.tree, qscratch, info.params.eps, info.prune);
-                    let mut local = local_partial_clusters_source(
-                        &mut source,
+                    let mut local = local_partial_clusters_scratch(
+                        |q, out| source.neighbors_of(q, out),
                         info.params,
                         &info.ranges,
                         part,
                         info.seed_policy,
                         escratch,
-                        kernel,
                     );
                     local.stats.kernel = qscratch.counters;
                     local

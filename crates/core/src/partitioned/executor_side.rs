@@ -19,6 +19,9 @@
 //! size (a `HashSet` sized to the whole partition penalizes the
 //! 1-partition baseline through cache misses and would *inflate* the
 //! reported speedups).
+//!
+//! Every own point the loop visits issues exactly one eps-range query
+//! (exact, or pruned under a [`PruneConfig`]), as in Algorithm 2.
 
 use crate::model::{PartialCluster, PartitionRanges};
 use crate::params::DbscanParams;
@@ -45,23 +48,9 @@ pub struct ExecutorStats {
     /// SEEDs placed across all partial clusters.
     pub seeds_placed: usize,
     /// Kernel-level instrumentation of the task's queries (leaf blocks
-    /// scanned, rows of those blocks, hits, early exits). Unlike every
-    /// field above — which is invariant across *all* kernel
-    /// configurations — the counters legitimately shrink when the
-    /// `min_pts` count fast path prunes traversals; compare through
-    /// [`ExecutorStats::without_kernel`] in identity tests that enable
-    /// it.
+    /// scanned, rows of those blocks, hits, early exits). Like every
+    /// field above, invariant across kernel configurations.
     pub kernel: KernelCounters,
-}
-
-impl ExecutorStats {
-    /// This stats value with the kernel counters zeroed — the part
-    /// that must be byte-identical across every kernel configuration,
-    /// count fast path included.
-    pub fn without_kernel(mut self) -> Self {
-        self.kernel = KernelCounters::default();
-        self
-    }
 }
 
 /// One executor's output: its partial clusters, the core points it
@@ -107,14 +96,6 @@ pub struct ExecutorScratch {
     seed_stamp: u64,
     /// `(slot, point)` pairs already seeded under `PerBoundaryEdge`.
     seeded_points: HashSet<u64>,
-    /// Frontier chunk drained from `queue` (batched expansion).
-    chunk: Vec<u32>,
-    /// Chunk members that still need a neighborhood query this round.
-    pending: Vec<u32>,
-    /// Concatenated batch-query results.
-    batch_out: Vec<PointId>,
-    /// Per-pending-query (offset, len) into `batch_out`.
-    spans: Vec<(u32, u32)>,
 }
 
 impl ExecutorScratch {
@@ -152,12 +133,11 @@ impl ExecutorScratch {
     }
 }
 
-/// Where the executor gets eps-neighborhoods from. The object-level
-/// contract is [`NeighborSource::neighbors_of`]; the batched and
-/// count-only entry points have *defaults* expressed in terms of it, so
-/// any closure source (via the blanket `FnMut` impl) works with every
-/// expansion strategy, while [`TreeNeighborSource`] overrides them with
-/// the genuinely shared-work tree paths.
+/// Where the executor gets eps-neighborhoods from. The executor calls
+/// only [`NeighborSource::neighbors_of`]; closures implement it through
+/// the blanket `FnMut` impl. The batched and count-only entry points
+/// are conveniences for other callers, with defaults expressed in terms
+/// of it.
 pub trait NeighborSource {
     /// Append the eps-neighborhood of point `q` over the **whole**
     /// dataset to `out` (which arrives cleared). The reported order
@@ -185,7 +165,8 @@ pub trait NeighborSource {
 
     /// Neighbor count of `q`, allowed to stop once `cap` is reached;
     /// any returned value **below** `cap` must be the exact count. The
-    /// default pays a full materialized query.
+    /// default pays a full materialized query and returns the full
+    /// count.
     fn count_up_to(&mut self, q: u32, cap: usize) -> usize {
         let _ = cap;
         let mut tmp = Vec::new();
@@ -201,18 +182,13 @@ impl<F: FnMut(u32, &mut Vec<PointId>)> NeighborSource for F {
 }
 
 /// The production [`NeighborSource`]: the broadcast [`BkdTree`] plus a
-/// worker's [`QueryScratch`]. Batched queries go through
-/// [`BkdTree::query_batch`] when the prune configuration is exact (the
-/// only case where deferring leaf scans is sound); core-status probes
-/// go through [`BkdTree::count_up_to`] under the same condition.
+/// worker's [`QueryScratch`], one (possibly pruned) range query per
+/// call.
 pub struct TreeNeighborSource<'a> {
     tree: &'a BkdTree,
     scratch: &'a mut QueryScratch,
     eps: f64,
     prune: PruneConfig,
-    /// Scratch for the pruned-configuration `count_up_to` fallback,
-    /// which must reproduce the capped materialized query's count.
-    count_buf: Vec<PointId>,
 }
 
 impl<'a> TreeNeighborSource<'a> {
@@ -223,7 +199,7 @@ impl<'a> TreeNeighborSource<'a> {
         eps: f64,
         prune: PruneConfig,
     ) -> Self {
-        TreeNeighborSource { tree, scratch, eps, prune, count_buf: Vec::new() }
+        TreeNeighborSource { tree, scratch, eps, prune }
     }
 }
 
@@ -231,41 +207,6 @@ impl NeighborSource for TreeNeighborSource<'_> {
     fn neighbors_of(&mut self, q: u32, out: &mut Vec<PointId>) {
         let row = self.tree.dataset().point(PointId(q));
         self.tree.range_pruned_scratch(row, self.eps, self.prune, self.scratch, out);
-    }
-
-    fn neighbors_batch(
-        &mut self,
-        ids: &[u32],
-        out: &mut Vec<PointId>,
-        spans: &mut Vec<(u32, u32)>,
-    ) {
-        if self.prune == PruneConfig::EXACT {
-            self.tree.query_batch(ids, self.eps, self.scratch, out, spans);
-        } else {
-            // pruned traversals carry per-query state; run them one at
-            // a time with the exact scalar semantics
-            out.clear();
-            spans.clear();
-            for &q in ids {
-                let off = out.len() as u32;
-                self.neighbors_of(q, out);
-                spans.push((off, out.len() as u32 - off));
-            }
-        }
-    }
-
-    fn count_up_to(&mut self, q: u32, cap: usize) -> usize {
-        let row = self.tree.dataset().point(PointId(q));
-        if self.prune == PruneConfig::EXACT {
-            self.tree.count_up_to(row, self.eps, cap, self.scratch)
-        } else {
-            // a pruned query's neighbor count is defined by the pruned
-            // traversal itself — reproduce it exactly
-            self.count_buf.clear();
-            let buf = &mut self.count_buf;
-            self.tree.range_pruned_scratch(row, self.eps, self.prune, self.scratch, buf);
-            buf.len()
-        }
     }
 }
 
@@ -418,28 +359,12 @@ pub fn local_partial_clusters_scratch(
     LocalClustering { clusters, core_points, stats }
 }
 
-/// [`local_partial_clusters_scratch`] parameterized by a
-/// [`NeighborSource`] and a [`KernelConfig`]: `kernel.batch > 0` drains
-/// the BFS frontier in chunks and issues batched neighborhood queries;
-/// `kernel.count_fast_path` settles non-core points with an early-exit
-/// count instead of a materialized neighbor list. With both off this
-/// *is* the scalar loop.
+/// [`local_partial_clusters_scratch`] over a [`NeighborSource`].
 ///
-/// Every configuration is **byte-identical** to the scalar path — same
-/// clusters, member order, core points, SEEDs and stats (fast path
-/// excepted on [`ExecutorStats::kernel`] only):
-///
-/// * A chunk is classified strictly in FIFO order, so member pushes,
-///   SEED placements and visited/assigned transitions replay the
-///   scalar dequeue sequence; expansions append to the queue in chunk
-///   order, exactly where the scalar loop appends them.
-/// * Deferring an expansion behind later chunk classifications can only
-///   *drop* enqueues the scalar path would also neutralize: the enqueue
-///   filter rejects visited-and-assigned points, and such a point's
-///   scalar dequeue is a no-op.
-/// * A non-core point's early-exit count never reaches `min_pts`, so it
-///   is the exact neighborhood size — `neighbors_found` is unchanged.
-///   Core points still pay the full query that drives expansion.
+/// `kernel` is unused: the leaf-scan kernel is fixed when the tree is
+/// built ([`BkdTree::kernel_config`]), and the expansion loop is the
+/// same for every configuration. The parameter stays so existing
+/// callers keep compiling.
 pub fn local_partial_clusters_source<S: NeighborSource>(
     source: &mut S,
     params: DbscanParams,
@@ -449,181 +374,21 @@ pub fn local_partial_clusters_source<S: NeighborSource>(
     scratch: &mut ExecutorScratch,
     kernel: KernelConfig,
 ) -> LocalClustering {
-    if kernel.batch == 0 && !kernel.count_fast_path {
-        return local_partial_clusters_scratch(
-            |q, out| source.neighbors_of(q, out),
-            params,
-            ranges,
-            partition,
-            seed_policy,
-            scratch,
-        );
-    }
-
-    let (start, end) = ranges.range(partition);
-    let owner = partition as u32;
-    let local_n = (end - start) as usize;
-
-    scratch.begin_task(local_n, ranges.num_partitions());
-    let epoch = scratch.epoch;
-    let ExecutorScratch {
-        visited_epoch,
-        assigned_epoch,
-        queue,
-        nbuf,
-        seeded_partition_stamp,
-        seed_stamp,
-        seeded_points,
-        chunk,
-        pending,
-        batch_out,
-        spans,
-        ..
-    } = scratch;
-
-    let chunk_cap = kernel.batch.max(1);
-    let fast = kernel.count_fast_path;
-    let mut clusters: Vec<PartialCluster> = Vec::new();
-    let mut core_points: Vec<u32> = Vec::new();
-    let mut stats = ExecutorStats::default();
-
-    for p in start..end {
-        let pl = (p - start) as usize;
-        stats.points_processed += 1;
-        if visited_epoch[pl] == epoch {
-            continue;
-        }
-        visited_epoch[pl] = epoch;
-        stats.neighbor_queries += 1;
-        if fast {
-            // probe first: noise points settle with their exact count
-            // (exact because the cap was never reached) and skip the
-            // materialized query entirely
-            let cnt = source.count_up_to(p, params.min_pts);
-            if cnt < params.min_pts {
-                stats.neighbors_found += cnt;
-                stats.local_noise += 1;
-                continue;
-            }
-            nbuf.clear();
-            source.neighbors_of(p, nbuf);
-            stats.neighbors_found += nbuf.len();
-        } else {
-            nbuf.clear();
-            source.neighbors_of(p, nbuf);
-            stats.neighbors_found += nbuf.len();
-            if nbuf.len() < params.min_pts {
-                stats.local_noise += 1;
-                continue;
-            }
-        }
-
-        let slot = clusters.len() as u32;
-        *seed_stamp += 1;
-        let stamp = *seed_stamp;
-        let mut cluster = PartialCluster::new(owner, (start, end));
-        cluster.members.push(p);
-        assigned_epoch[pl] = epoch;
-        core_points.push(p);
-
-        queue.clear();
-        queue.extend(nbuf.iter().map(|id| id.0).filter(|&r| {
-            !(r >= start && r < end && {
-                let rl = (r - start) as usize;
-                visited_epoch[rl] == epoch && assigned_epoch[rl] == epoch
-            })
-        }));
-        while !queue.is_empty() {
-            // drain up to chunk_cap frontier items, classify in FIFO order
-            chunk.clear();
-            while chunk.len() < chunk_cap {
-                match queue.pop_front() {
-                    Some(q) => chunk.push(q),
-                    None => break,
-                }
-            }
-            pending.clear();
-            for &q in chunk.iter() {
-                if q < start || q >= end {
-                    let place = match seed_policy {
-                        SeedPolicy::OnePerPartition => {
-                            let pt = ranges.partition_of(q);
-                            let fresh = seeded_partition_stamp[pt] != stamp;
-                            seeded_partition_stamp[pt] = stamp;
-                            fresh
-                        }
-                        SeedPolicy::PerBoundaryEdge => {
-                            seeded_points.insert((slot as u64) << 32 | q as u64)
-                        }
-                    };
-                    if place {
-                        cluster.members.push(q);
-                        stats.seeds_placed += 1;
-                    }
-                    continue;
-                }
-                let ql = (q - start) as usize;
-                if visited_epoch[ql] == epoch {
-                    if assigned_epoch[ql] != epoch {
-                        assigned_epoch[ql] = epoch;
-                        cluster.members.push(q);
-                    }
-                    continue;
-                }
-                visited_epoch[ql] = epoch;
-                if assigned_epoch[ql] != epoch {
-                    assigned_epoch[ql] = epoch;
-                    cluster.members.push(q);
-                }
-                pending.push(q);
-            }
-            if fast {
-                // count probes retire non-core points; survivors keep
-                // their chunk order for the materialized batch below
-                let mut keep = 0usize;
-                for i in 0..pending.len() {
-                    let q = pending[i];
-                    let cnt = source.count_up_to(q, params.min_pts);
-                    if cnt >= params.min_pts {
-                        pending[keep] = q;
-                        keep += 1;
-                    } else {
-                        stats.neighbor_queries += 1;
-                        stats.neighbors_found += cnt;
-                    }
-                }
-                pending.truncate(keep);
-            }
-            if pending.is_empty() {
-                continue;
-            }
-            source.neighbors_batch(pending, batch_out, spans);
-            for (i, &q) in pending.iter().enumerate() {
-                let (off, len) = spans[i];
-                let span = &batch_out[off as usize..(off + len) as usize];
-                stats.neighbor_queries += 1;
-                stats.neighbors_found += span.len();
-                if span.len() >= params.min_pts {
-                    core_points.push(q);
-                    queue.extend(span.iter().map(|id| id.0).filter(|&r| {
-                        !(r >= start && r < end && {
-                            let rl = (r - start) as usize;
-                            visited_epoch[rl] == epoch && assigned_epoch[rl] == epoch
-                        })
-                    }));
-                }
-            }
-        }
-        clusters.push(cluster);
-    }
-
-    LocalClustering { clusters, core_points, stats }
+    let _ = kernel;
+    local_partial_clusters_scratch(
+        |q, out| source.neighbors_of(q, out),
+        params,
+        ranges,
+        partition,
+        seed_policy,
+        scratch,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbscan_spatial::{Dataset, KdTree, SpatialIndex};
+    use dbscan_spatial::{BuildConfig, Dataset, KdTree, Metric, SpatialIndex};
     use std::sync::Arc;
 
     /// 1-d chain of points 1.0 apart: with eps=1.1 / minpts=2 the whole
@@ -834,93 +599,20 @@ mod tests {
         rows
     }
 
-    fn run_kernel(
-        tree: &KdTree,
-        params: DbscanParams,
-        ranges: &PartitionRanges,
-        part: usize,
-        policy: SeedPolicy,
-        kernel: KernelConfig,
-    ) -> LocalClustering {
-        let data = tree.dataset().clone();
-        let mut scratch = ExecutorScratch::new();
-        let mut source = |q: u32, out: &mut Vec<PointId>| {
-            tree.range_into(data.point(PointId(q)), params.eps, out)
-        };
-        local_partial_clusters_source(
-            &mut source,
-            params,
-            ranges,
-            part,
-            policy,
-            &mut scratch,
-            kernel,
-        )
-    }
-
-    #[test]
-    fn batched_frontier_is_identical_to_scalar_for_every_chunk_size() {
-        let datasets = [chain_tree(37), KdTree::build(Arc::new(Dataset::from_rows(blob_rows())))];
-        for tree in &datasets {
-            let n = tree.dataset().len();
-            let params = DbscanParams::new(1.1, 3).unwrap();
-            for parts in [1usize, 3] {
-                let ranges = PartitionRanges::new(n, parts);
-                for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
-                    for part in 0..parts {
-                        let scalar = run(tree, params, &ranges, part, policy);
-                        for batch in [1usize, 2, 3, 7, 64] {
-                            let kernel = KernelConfig::default().with_batch(batch);
-                            let batched = run_kernel(tree, params, &ranges, part, policy, kernel);
-                            assert_eq!(
-                                scalar, batched,
-                                "batch={batch} part={part}/{parts} {policy:?}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn count_fast_path_is_identical_to_scalar() {
-        // closure sources answer count_up_to with a full materialized
-        // query, so the fast path must reproduce the scalar stats and
-        // clustering exactly — alone and combined with batching
-        let tree = KdTree::build(Arc::new(Dataset::from_rows(blob_rows())));
-        let n = tree.dataset().len();
-        let params = DbscanParams::new(1.1, 4).unwrap();
-        let ranges = PartitionRanges::new(n, 2);
-        for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
-            for part in 0..2 {
-                let scalar = run(&tree, params, &ranges, part, policy);
-                for batch in [0usize, 3] {
-                    let kernel =
-                        KernelConfig::default().with_batch(batch).with_count_fast_path(true);
-                    let fast = run_kernel(&tree, params, &ranges, part, policy, kernel);
-                    assert_eq!(scalar, fast, "batch={batch} part={part} {policy:?}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn tree_neighbor_source_matches_closure_source() {
-        // the real executor-side source (BkdTree + QueryScratch, batched
-        // leaf scans, early-exit counting) against a plain closure over
-        // the same tree — neighbor order, hence member order, must match
+        // the real executor-side source (BkdTree + QueryScratch) under
+        // both leaf layouts against a plain closure over the same tree —
+        // neighbor order, hence member order, must match
         let ds = Arc::new(Dataset::from_rows(blob_rows()));
         let bkd = BkdTree::build(ds.clone());
         let n = ds.len();
         let params = DbscanParams::new(1.1, 3).unwrap();
         let ranges = PartitionRanges::new(n, 3);
-        let configs = [
-            KernelConfig::default(),
-            KernelConfig::default().with_batch(4),
-            KernelConfig::default().with_count_fast_path(true),
-            KernelConfig::default().with_batch(4).with_count_fast_path(true),
-        ];
+        let trees = [KernelConfig::default(), KernelConfig::scalar()].map(|kernel| {
+            let cfg = BuildConfig::default().with_kernel(kernel);
+            BkdTree::build_with_config(ds.clone(), Metric::Euclidean, cfg)
+        });
         for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
             for part in 0..3 {
                 let mut base_scratch = QueryScratch::new();
@@ -938,10 +630,11 @@ mod tests {
                     part,
                     policy,
                 );
-                for kernel in configs {
+                for tree in &trees {
+                    let kernel = tree.kernel_config();
                     let mut qscratch = QueryScratch::new();
                     let mut source = TreeNeighborSource::new(
-                        &bkd,
+                        tree,
                         &mut qscratch,
                         params.eps,
                         PruneConfig::EXACT,
@@ -963,14 +656,31 @@ mod tests {
     }
 
     #[test]
-    fn without_kernel_clears_only_kernel_counters() {
-        let stats = ExecutorStats {
-            neighbor_queries: 7,
-            kernel: KernelCounters { rows_scanned: 99, ..Default::default() },
-            ..Default::default()
-        };
-        let cleared = stats.without_kernel();
-        assert_eq!(cleared.neighbor_queries, 7);
-        assert!(cleared.kernel.is_zero());
+    fn neighbor_source_defaults_match_per_query_results() {
+        // the batched and count-only trait defaults on the production
+        // source: spans address exactly the per-query neighborhoods, in
+        // order, and the count is the full count whatever the cap
+        let ds = Arc::new(Dataset::from_rows(blob_rows()));
+        let bkd = BkdTree::build(ds.clone());
+        let ids: Vec<u32> = (0..ds.len() as u32).rev().collect();
+        for eps in [0.0, 1.1, 5.0] {
+            let mut qscratch = QueryScratch::new();
+            let mut source = TreeNeighborSource::new(&bkd, &mut qscratch, eps, PruneConfig::EXACT);
+            let (mut out, mut spans) = (vec![PointId(7)], vec![(3, 3)]);
+            source.neighbors_batch(&ids, &mut out, &mut spans);
+            assert_eq!(spans.len(), ids.len());
+            let mut next = 0;
+            for (&q, &(off, len)) in ids.iter().zip(&spans) {
+                let mut want = Vec::new();
+                source.neighbors_of(q, &mut want);
+                assert_eq!(off as usize, next, "spans tile the output in query order");
+                assert_eq!(&out[off as usize..(off + len) as usize], &want[..], "eps={eps} q={q}");
+                next += len as usize;
+                for cap in [0, 1, want.len()] {
+                    assert_eq!(source.count_up_to(q, cap), want.len(), "eps={eps} q={q} cap={cap}");
+                }
+            }
+            assert_eq!(next, out.len());
+        }
     }
 }

@@ -18,8 +18,6 @@
 //! | `DBSCAN_MEM_BUDGET` | `memory` | per-executor byte budget (unset = unbounded) |
 //! | `DBSCAN_KERNEL` | `build.kernel.layout` | `scalar` or `lanes` leaf-scan layout |
 //! | `DBSCAN_KERNEL_LANES` | `build.kernel.lanes` | lane width (rounded to 4/8/16) |
-//! | `DBSCAN_QUERY_BATCH` | `build.kernel.batch` | frontier chunk size (`0` = per-query) |
-//! | `DBSCAN_COUNT_FAST_PATH` | `build.kernel.count_fast_path` | `min_pts` early-exit counting |
 //!
 //! Every field is benign to vary: clustering labels are identical for
 //! any `Resources` value (budgets spill, never drop data; thread counts
@@ -77,8 +75,8 @@ impl Resources {
 
     /// Defaults overlaid with the environment: `DBSCAN_BUILD_THREADS`
     /// sets the build worker count, `DBSCAN_MEM_BUDGET` (bytes) sets a
-    /// bounded per-executor memory budget, and the `DBSCAN_KERNEL*` /
-    /// `DBSCAN_QUERY_BATCH` / `DBSCAN_COUNT_FAST_PATH` family (parsed by
+    /// bounded per-executor memory budget, and the `DBSCAN_KERNEL` /
+    /// `DBSCAN_KERNEL_LANES` pair (parsed by
     /// [`dbscan_spatial::KernelConfig::from_env`]) selects the leaf-scan
     /// kernel. Unset or unparsable variables leave the default in place.
     pub fn from_env() -> Self {
@@ -252,7 +250,7 @@ mod tests {
     #[test]
     fn kernel_config_rides_the_build_config() {
         use dbscan_spatial::{KernelConfig, KernelLayout};
-        let k = KernelConfig::scalar().with_batch(16);
+        let k = KernelConfig::scalar().with_lanes(16);
         let r = Resources::new().with_build(BuildConfig::default().with_kernel(k));
         assert_eq!(r.build.kernel, k);
         assert_eq!(r.build.kernel.layout, KernelLayout::Scalar);

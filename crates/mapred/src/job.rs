@@ -484,17 +484,19 @@ mod tests {
 
     #[test]
     fn spill_dir_is_cleaned_up() {
-        let root = std::env::temp_dir();
-        let count_jobs = || -> usize {
-            std::fs::read_dir(&root)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .filter(|e| e.file_name().to_string_lossy().starts_with("mapred-job-"))
-                .count()
-        };
-        let before = count_jobs();
-        let _ = wordcount(splits_of(&["a b"], 1), JobConfig::with_slots(1));
-        assert_eq!(before, count_jobs(), "job directory removed after completion");
+        // a spill root private to this test, so sibling tests' job
+        // directories under the shared temp dir never enter the count
+        let root = std::env::temp_dir().join(format!(
+            "mapred-cleanup-test-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        std::fs::create_dir_all(&root).unwrap();
+        let r = wordcount(splits_of(&["a b"], 1), JobConfig::with_slots(1).spill_root(&root));
+        assert!(r.counters.spilled_bytes.load(Ordering::Relaxed) > 0, "the job spilled to disk");
+        let left: Vec<_> = std::fs::read_dir(&root).unwrap().filter_map(|e| e.ok()).collect();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(left.is_empty(), "job directory removed after completion: {left:?}");
     }
 
     #[test]

@@ -900,4 +900,27 @@ mod tests {
         assert!(!c.trace().enabled());
         assert!(c.trace().snapshot().events.is_empty());
     }
+
+    #[test]
+    fn dropping_contexts_never_hangs() {
+        // every drop closes the task channel while the pool's workers
+        // sit blocked in recv; a worker that misses the disconnect keeps
+        // the pool's join from ever returning
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            for round in 0..5_000 {
+                let c = Context::new(ClusterConfig::local(2));
+                if round % 100 == 0 {
+                    c.parallelize((0..8i32).collect(), 2).collect().unwrap();
+                }
+                drop(c);
+            }
+            let _ = done_tx.send(());
+        });
+        let limit = std::time::Duration::from_secs(120);
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(limit) {
+            panic!("a Context drop was still running after {limit:?}");
+        }
+        h.join().unwrap();
+    }
 }

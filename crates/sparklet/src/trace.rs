@@ -261,11 +261,9 @@ pub enum EventKind {
     },
     /// Spatial-kernel counters for one task (recorded in-task before
     /// completion). The counts are defined over *visited* leaves, so
-    /// they are invariant across scalar, lane-blocked and batched
-    /// execution; only the `min_pts` early-exit fast path changes them.
+    /// they are invariant across scalar and lane-blocked execution.
     /// Like [`EventKind::MemoryAction`], the event consumes zero
-    /// virtual ticks, so a trace with its kernel events stripped is
-    /// byte-identical across kernel configurations.
+    /// virtual ticks.
     TaskKernel {
         /// Leaf blocks scanned ((leaf, query) visits).
         blocks: u64,
@@ -386,23 +384,6 @@ impl Trace {
                 .events
                 .iter()
                 .filter(|e| !matches!(e.kind, EventKind::MemoryAction { .. }))
-                .copied()
-                .collect(),
-            dropped: self.dropped,
-        }
-    }
-
-    /// The trace with all `TaskKernel` events removed. Kernel events
-    /// consume zero virtual ticks and their payloads are invariant
-    /// across scalar/lane-blocked/batched execution, so this is only
-    /// needed to compare a `min_pts` fast-path run (whose counters
-    /// legitimately shrink) against a full-scan run.
-    pub fn without_kernel(&self) -> Trace {
-        Trace {
-            events: self
-                .events
-                .iter()
-                .filter(|e| !matches!(e.kind, EventKind::TaskKernel { .. }))
                 .copied()
                 .collect(),
             dropped: self.dropped,
@@ -1494,7 +1475,13 @@ mod tests {
         let without = build(false);
         // zero in-task ticks: stripping the kernel event reproduces the
         // kernel-free trace byte for byte
-        assert_eq!(format!("{:?}", with.without_kernel()), format!("{without:?}"));
+        let stripped: Vec<_> = with
+            .events
+            .iter()
+            .filter(|e| !matches!(e.kind, EventKind::TaskKernel { .. }))
+            .copied()
+            .collect();
+        assert_eq!(format!("{stripped:?}"), format!("{:?}", without.events));
         // and the event itself round-trips through the chrome exporter
         let json = chrome_trace_json(&with);
         let summary = validate_chrome_trace(&json).expect("trace with kernel event validates");

@@ -60,7 +60,7 @@ pub struct BuildConfig {
     /// depends only on the data, never on `threads`.
     pub par_cutoff: usize,
     /// Query-kernel configuration the built tree will scan leaves with
-    /// (data layout, lane width, frontier batching). Like `threads`,
+    /// (data layout, lane width). Like `threads`,
     /// every value yields byte-identical query results; under
     /// [`KernelLayout::Lanes`] the build additionally materializes the
     /// dimension-major leaf blocks.
@@ -252,9 +252,6 @@ pub struct QueryScratch {
     stack: Vec<u32>,
     /// DFS stack of (reduced-space lower bound, node) for nearest search.
     bounded: Vec<(f64, u32)>,
-    /// Buffers of [`BkdTree::query_batch`], grown to the batch
-    /// high-water mark and reused.
-    batch: BatchScratch,
     /// Kernel instrumentation accumulated by every scratch-taking query
     /// on this tree; the caller owns the reset/read cycle.
     pub counters: KernelCounters,
@@ -271,32 +268,6 @@ impl QueryScratch {
     pub fn stack_capacity(&self) -> usize {
         self.stack.capacity()
     }
-}
-
-/// [`BkdTree::query_batch`] working set: the epoch-stamped reachability
-/// marks of the batch-AABB descent plus the (leaf, query) pair arrays
-/// the leaf-major scan phase runs over.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// `node_stamp[n] == epoch` ⇔ node `n` is reachable from the
-    /// current batch's bounding box.
-    node_stamp: Vec<u32>,
-    epoch: u32,
-    /// Batch bounding box, `lo` then `hi` (`dim` each).
-    aabb: Vec<f64>,
-    /// Leaf node of each discovered (leaf, query) pair, in per-query
-    /// discovery order.
-    pair_leaf: Vec<u32>,
-    /// Query (batch position) of each pair.
-    pair_query: Vec<u32>,
-    /// Per query: (first pair index, pair count).
-    query_pairs: Vec<(u32, u32)>,
-    /// Pair indices reordered leaf-major for the scan phase.
-    order: Vec<u32>,
-    /// Per pair: (offset, len) of its hits in `arena`.
-    pair_hits: Vec<(u32, u32)>,
-    /// Hit storage of the scan phase, reassembled per query afterwards.
-    arena: Vec<PointId>,
 }
 
 thread_local! {
@@ -640,265 +611,6 @@ impl BkdTree {
         TLS_SCRATCH.with(|s| self.range_pruned_scratch(query, eps, cfg, &mut s.borrow_mut(), out))
     }
 
-    /// Does `query` have at least `k` neighbours within `eps`? Stops the
-    /// traversal as soon as the `k`-th match is found, so deciding
-    /// core-point status for dense neighbourhoods touches a fraction of
-    /// the tree an exact count would.
-    pub fn count_at_least(
-        &self,
-        query: &[f64],
-        eps: f64,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> bool {
-        debug_assert_eq!(query.len(), self.dataset.dim());
-        if k == 0 {
-            return true;
-        }
-        if self.nodes.is_empty() {
-            return false;
-        }
-        self.count_up_to(query, eps, k, scratch) >= k
-    }
-
-    /// Count neighbours of `query` within `eps`, stopping the traversal
-    /// once `cap` are found. The result is **exact whenever it is below
-    /// `cap`**; once the cap is reached the traversal stops (under the
-    /// lane-blocked layout at lane-group granularity, so the returned
-    /// value may overshoot) — the contract the executor's `min_pts`
-    /// fast path needs: a non-core point gets its true neighbour count,
-    /// a core point only proves `>= cap`.
-    pub fn count_up_to(
-        &self,
-        query: &[f64],
-        eps: f64,
-        cap: usize,
-        scratch: &mut QueryScratch,
-    ) -> usize {
-        debug_assert_eq!(query.len(), self.dataset.dim());
-        if cap == 0 || self.nodes.is_empty() {
-            return 0;
-        }
-        let d = self.dataset.dim().max(1);
-        let thr = self.metric.threshold(eps);
-        let metric = self.metric;
-        let lanes = self.kernel.lanes;
-        let soa_path = self.kernel.layout == KernelLayout::Lanes;
-        let mut count = 0usize;
-        let QueryScratch { stack, counters, .. } = scratch;
-        stack.clear();
-        stack.push(0);
-        while let Some(at) = stack.pop() {
-            let node = self.nodes[at as usize];
-            if node.is_leaf() {
-                let (start, end) = (node.a as usize, node.b as usize);
-                counters.blocks_scanned += 1;
-                counters.rows_scanned += (end - start) as u64;
-                let before = count;
-                let capped = if soa_path {
-                    crate::kernel::count_block_soa(
-                        metric,
-                        d,
-                        query,
-                        &self.soa[start * d..end * d],
-                        end - start,
-                        thr,
-                        lanes,
-                        cap,
-                        &mut count,
-                    )
-                } else {
-                    !crate::kernel::scan_block(
-                        metric,
-                        d,
-                        query,
-                        &self.coords[start * d..end * d],
-                        thr,
-                        |_| {
-                            count += 1;
-                            count < cap
-                        },
-                    )
-                };
-                counters.range_hits += (count - before) as u64;
-                if capped {
-                    counters.early_exits += 1;
-                    return count;
-                }
-            } else {
-                let delta = query[node.axis as usize] - node.split;
-                let (near, far) = if delta <= 0.0 { (at + 1, node.a) } else { (node.a, at + 1) };
-                if metric.axis_bound(delta) <= thr {
-                    stack.push(far);
-                }
-                stack.push(near);
-            }
-        }
-        count
-    }
-
-    /// Exact eps-range queries for a whole frontier chunk at once.
-    /// `queries` are dataset row ids; after the call `out` holds every
-    /// query's neighbours concatenated and `spans[i] = (offset, len)`
-    /// addresses query `i`'s slice (both buffers are cleared first).
-    ///
-    /// Per query, the result — contents *and order* — is byte-identical
-    /// to [`BkdTree::range_into_scratch`] on the same id: phase 1
-    /// replays each query's exact near-first traversal (so the
-    /// (leaf, query) pair list is in scalar visit order) and the leaf
-    /// scans report rows in row order. What batching adds is shared
-    /// work: a batch-bounding-box descent stamps the reachable subtree
-    /// once (phase 0), so every per-query descent short-circuits
-    /// far-side `axis_bound` tests outside the batch region with one
-    /// memory read — an unstamped node is unreachable for *every* query
-    /// in the batch — and the scans run leaf-major (phase 2), so a leaf
-    /// block shared by many frontier queries stays resident while they
-    /// all scan it.
-    ///
-    /// Only exact queries batch soundly (pruned configurations carry
-    /// per-query traversal state), which is why the executor falls back
-    /// to scalar queries under a non-exact [`PruneConfig`].
-    pub fn query_batch(
-        &self,
-        queries: &[u32],
-        eps: f64,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<PointId>,
-        spans: &mut Vec<(u32, u32)>,
-    ) {
-        out.clear();
-        spans.clear();
-        if queries.is_empty() {
-            return;
-        }
-        if self.nodes.is_empty() {
-            spans.resize(queries.len(), (0, 0));
-            return;
-        }
-        let d = self.dataset.dim().max(1);
-        let thr = self.metric.threshold(eps);
-        let metric = self.metric;
-        let QueryScratch { stack, batch, counters, .. } = scratch;
-        let BatchScratch {
-            node_stamp,
-            epoch,
-            aabb,
-            pair_leaf,
-            pair_query,
-            query_pairs,
-            order,
-            pair_hits,
-            arena,
-        } = batch;
-
-        // phase 0: stamp every node reachable from the batch's bounding
-        // box. For the box [lo, hi] on a split axis, the left subtree
-        // (values <= split) is reachable iff some query q satisfies
-        // axis_bound(max(q - split, 0)) <= thr, which is minimized at
-        // q = lo; symmetrically the right subtree at q = hi. axis_bound
-        // is monotone in |delta|, so the stamped set is a superset of
-        // every per-query reachable set.
-        aabb.clear();
-        aabb.resize(2 * d, 0.0);
-        let (lo, hi) = aabb.split_at_mut(d);
-        lo.fill(f64::INFINITY);
-        hi.fill(f64::NEG_INFINITY);
-        for &q in queries {
-            for (k, &v) in self.dataset.row(q as usize).iter().enumerate() {
-                lo[k] = lo[k].min(v);
-                hi[k] = hi[k].max(v);
-            }
-        }
-        if node_stamp.len() != self.nodes.len() || *epoch == u32::MAX {
-            node_stamp.clear();
-            node_stamp.resize(self.nodes.len(), 0);
-            *epoch = 0;
-        }
-        *epoch += 1;
-        let epoch = *epoch;
-        stack.clear();
-        stack.push(0);
-        while let Some(at) = stack.pop() {
-            node_stamp[at as usize] = epoch;
-            let node = self.nodes[at as usize];
-            if node.is_leaf() {
-                continue;
-            }
-            let axis = node.axis as usize;
-            if metric.axis_bound((lo[axis] - node.split).max(0.0)) <= thr {
-                stack.push(at + 1);
-            }
-            if metric.axis_bound((node.split - hi[axis]).max(0.0)) <= thr {
-                stack.push(node.a);
-            }
-        }
-
-        // phase 1: per-query discovery — the exact scalar traversal
-        // (near child first; a query's near child is always inside the
-        // box, hence always stamped), consulting the stamp before the
-        // far-side bound test. Unstamped ⇒ unreachable for this query
-        // too, so push decisions — and therefore leaf visit order —
-        // match the scalar walk exactly.
-        pair_leaf.clear();
-        pair_query.clear();
-        query_pairs.clear();
-        for (qi, &q) in queries.iter().enumerate() {
-            let first = pair_leaf.len() as u32;
-            let query = self.dataset.row(q as usize);
-            stack.clear();
-            stack.push(0);
-            while let Some(at) = stack.pop() {
-                let node = self.nodes[at as usize];
-                if node.is_leaf() {
-                    pair_leaf.push(at);
-                    pair_query.push(qi as u32);
-                } else {
-                    let delta = query[node.axis as usize] - node.split;
-                    let (near, far) =
-                        if delta <= 0.0 { (at + 1, node.a) } else { (node.a, at + 1) };
-                    if node_stamp[far as usize] == epoch && metric.axis_bound(delta) <= thr {
-                        stack.push(far);
-                    }
-                    stack.push(near);
-                }
-            }
-            query_pairs.push((first, pair_leaf.len() as u32 - first));
-        }
-
-        // phase 2: leaf-major scans — pairs grouped by leaf so a shared
-        // block is scanned back to back by every query touching it
-        order.clear();
-        order.extend(0..pair_leaf.len() as u32);
-        order.sort_unstable_by_key(|&pid| (pair_leaf[pid as usize], pid));
-        pair_hits.clear();
-        pair_hits.resize(pair_leaf.len(), (0, 0));
-        arena.clear();
-        for &pid in order.iter() {
-            let node = self.nodes[pair_leaf[pid as usize] as usize];
-            let (start, end) = (node.a as usize, node.b as usize);
-            let row = self.dataset.row(queries[pair_query[pid as usize] as usize] as usize);
-            counters.blocks_scanned += 1;
-            counters.rows_scanned += (end - start) as u64;
-            let off = arena.len() as u32;
-            self.scan_leaf(start, end, d, row, thr, |i| {
-                arena.push(PointId(self.ids[start + i]));
-                true
-            });
-            pair_hits[pid as usize] = (off, arena.len() as u32 - off);
-        }
-        counters.range_hits += arena.len() as u64;
-
-        // phase 3: reassemble per query, pairs back in discovery order
-        for &(first, cnt) in query_pairs.iter() {
-            let off = out.len() as u32;
-            for pid in first..first + cnt {
-                let (hoff, hlen) = pair_hits[pid as usize];
-                out.extend_from_slice(&arena[hoff as usize..(hoff + hlen) as usize]);
-            }
-            spans.push((off, out.len() as u32 - off));
-        }
-    }
-
     /// Nearest neighbour of `query` (ties broken arbitrarily); `None`
     /// for an empty tree. Returns `(id, distance)`. Iterative, through
     /// caller-provided scratch.
@@ -1235,8 +947,6 @@ mod tests {
         assert!(t.range(&[0.0, 0.0], 1.0).is_empty());
         assert!(t.nearest_scratch(&[0.0, 0.0], &mut s).is_none());
         assert_eq!(t.depth(), 0);
-        assert!(!t.count_at_least(&[0.0, 0.0], 1.0, 1, &mut s));
-        assert!(t.count_at_least(&[0.0, 0.0], 1.0, 0, &mut s), "k=0 is vacuously true");
     }
 
     #[test]
@@ -1329,26 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn count_at_least_matches_range_threshold() {
-        let ds = grid_dataset();
-        let t = BkdTree::build_with(ds.clone(), Metric::Euclidean, 4);
-        let mut s = QueryScratch::new();
-        for eps in [0.5, 1.0, 1.5, 3.0] {
-            for (id, _) in ds.iter() {
-                let q = ds.point(id).to_vec();
-                let n = t.range(&q, eps).len();
-                for k in 0..n + 2 {
-                    assert_eq!(
-                        t.count_at_least(&q, eps, k, &mut s),
-                        n >= k,
-                        "eps={eps} k={k} n={n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn nearest_finds_closest_grid_point() {
         let ds = grid_dataset();
         let t = BkdTree::build(ds.clone());
@@ -1428,7 +1118,6 @@ mod tests {
         for id in 0..2000 {
             out.clear();
             t.range_into_scratch(ds.row(id), 10.0, &mut s, &mut out);
-            t.count_at_least(ds.row(id), 10.0, 5, &mut s);
         }
         assert_eq!(s.stack_capacity(), stack_cap, "traversal stack reallocated");
         assert_eq!(out.capacity(), out_cap, "output buffer reallocated");
@@ -1561,77 +1250,6 @@ mod tests {
     }
 
     #[test]
-    fn count_up_to_is_exact_below_cap() {
-        let ds = scatter_dataset(600);
-        for kernel in [KernelConfig::default(), KernelConfig::scalar()] {
-            let t = BkdTree::build_with_config(
-                ds.clone(),
-                Metric::Euclidean,
-                BuildConfig::default().with_kernel(kernel),
-            );
-            let mut s = QueryScratch::new();
-            for id in (0..ds.len()).step_by(41) {
-                let q = ds.row(id);
-                for eps in [3.0, 15.0, 60.0] {
-                    let n = t.range(q, eps).len();
-                    // cap above the true count: exact
-                    assert_eq!(t.count_up_to(q, eps, n + 3, &mut s), n, "{kernel:?}");
-                    // cap at/below: must report at least the cap
-                    for cap in [1, n.max(1)] {
-                        let got = t.count_up_to(q, eps, cap, &mut s);
-                        assert!(got >= cap.min(n), "{kernel:?} cap={cap} n={n} got={got}");
-                        assert!((got >= cap) == (n >= cap), "{kernel:?} cap={cap} n={n} got={got}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn query_batch_matches_per_query_results_exactly() {
-        let ds = scatter_dataset(900);
-        for kernel in [KernelConfig::default(), KernelConfig::scalar()] {
-            let t = BkdTree::build_with_config(
-                ds.clone(),
-                Metric::Euclidean,
-                BuildConfig::default().with_kernel(kernel),
-            );
-            let mut s = QueryScratch::new();
-            let mut out = Vec::new();
-            let mut spans = Vec::new();
-            for eps in [0.0, 8.0, 30.0] {
-                // several reuses of the same scratch, varied batch makeup
-                for round in 0..3u32 {
-                    let queries: Vec<u32> =
-                        (0..ds.len() as u32).filter(|q| (q + round) % 7 == 0).collect();
-                    t.query_batch(&queries, eps, &mut s, &mut out, &mut spans);
-                    assert_eq!(spans.len(), queries.len());
-                    for (i, &q) in queries.iter().enumerate() {
-                        let (off, len) = spans[i];
-                        let got = &out[off as usize..(off + len) as usize];
-                        let mut want = Vec::new();
-                        t.range_into_scratch(ds.row(q as usize), eps, &mut s, &mut want);
-                        assert_eq!(got, &want[..], "{kernel:?} eps={eps} q={q}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn query_batch_handles_empty_inputs() {
-        let t = BkdTree::build(Arc::new(Dataset::empty(2)));
-        let mut s = QueryScratch::new();
-        let (mut out, mut spans) = (vec![PointId(9)], vec![(7u32, 7u32)]);
-        t.query_batch(&[], 1.0, &mut s, &mut out, &mut spans);
-        assert!(out.is_empty() && spans.is_empty());
-        let ds = grid_dataset();
-        let t = BkdTree::build(ds);
-        t.query_batch(&[], 1.0, &mut s, &mut out, &mut spans);
-        assert!(out.is_empty() && spans.is_empty());
-    }
-
-    #[test]
     fn query_counters_are_layout_invariant() {
         let ds = scatter_dataset(700);
         let lanes = BkdTree::build(ds.clone());
@@ -1653,11 +1271,5 @@ mod tests {
         assert_eq!(a, b, "blocks/rows/hits are defined over visited leaves, not layout");
         assert!(!a.is_zero());
         assert_eq!(a.early_exits, 0, "exact queries never exit early");
-        // batched queries visit the same (leaf, query) pairs
-        let queries: Vec<u32> = (0..ds.len() as u32).collect();
-        let mut s = QueryScratch::new();
-        let (mut out, mut spans) = (Vec::new(), Vec::new());
-        lanes.query_batch(&queries, 12.0, &mut s, &mut out, &mut spans);
-        assert_eq!(s.counters, a, "batching must not change what gets scanned");
     }
 }

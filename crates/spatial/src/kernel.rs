@@ -10,11 +10,11 @@
 //! dispatches **once per block scan** on `Dataset::dim`, so the per-row
 //! work is a fixed-trip-count, bounds-check-free loop.
 //!
-//! On top of the row-major kernels sit the **lane-blocked SoA kernels**
-//! ([`scan_block_soa`], [`count_block_soa`]): they scan a leaf block
-//! stored dimension-major (all `x`s, then all `y`s, …), accumulating a
-//! whole group of `LANES` points into a fixed-width `[f64; LANES]`
-//! stack buffer that LLVM auto-vectorizes on stable. One lane per
+//! On top of the row-major kernels sits the **lane-blocked SoA kernel**
+//! ([`scan_block_soa`]): it scans a leaf block stored dimension-major
+//! (all `x`s, then all `y`s, …), accumulating a whole group of `LANES`
+//! points into a fixed-width `[f64; LANES]` stack buffer that LLVM
+//! auto-vectorizes on stable. One lane per
 //! point: each point's per-dimension sum runs in the exact sequential
 //! coordinate order of the scalar kernels, so every distance is the
 //! same `f64` bit for bit — vectorization happens *across* points,
@@ -22,7 +22,7 @@
 //! branch-free pass packing hit indices left, so dense and sparse
 //! blocks cost the same per row.
 //!
-//! Three invariants make the kernels safe to wire everywhere:
+//! Two invariants make the kernels safe to wire everywhere:
 //!
 //! * **Bit-identical results.** Fixed-`D`, generic and lane-blocked
 //!   paths accumulate in the same coordinate order, so every distance
@@ -34,12 +34,8 @@
 //! * **Same early-exit semantics.** [`scan_block`] and
 //!   [`scan_block_soa`] report matches through a callback that can stop
 //!   the scan, row by row in row order, so pruned queries
-//!   (`max_neighbors`) and `count_at_least` behave exactly like the
-//!   generic traversal they replace.
-//! * **Count exactness below the cap.** [`count_block_soa`] early-exits
-//!   at lane-group granularity only once the cap is reached, so any
-//!   returned count *below* the cap is exact — the contract the
-//!   executor's `min_pts` fast path relies on.
+//!   (`max_neighbors`) behave exactly like the generic traversal they
+//!   replace.
 //!
 //! Callers: [`crate::BkdTree`] leaf scans, [`crate::BruteForceIndex`]
 //! whole-matrix scans, and [`crate::Metric::reduced_distance`] (single
@@ -72,11 +68,9 @@ pub enum KernelLayout {
 }
 
 /// Query-kernel configuration threaded through the resource bundle:
-/// data layout, lane width, frontier batching and the `min_pts`
-/// count-only fast path. Labels are byte-identical for every value —
-/// [`KernelConfig::count_fast_path`] additionally leaves every
-/// executor stat untouched and only changes the *kernel counters*
-/// (fewer rows scanned).
+/// leaf-block layout and lane width. Labels, executor stats, kernel
+/// counters and traces are byte-identical for every value; only
+/// throughput changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Leaf-block layout and scan strategy.
@@ -84,29 +78,17 @@ pub struct KernelConfig {
     /// Points per SoA lane group (normalized to one of
     /// [`LANE_WIDTHS`]); ignored under [`KernelLayout::Scalar`].
     pub lanes: usize,
-    /// Executor frontier chunk size for batched `query_batch`
-    /// expansion; `0` disables batching (one query at a time).
-    pub batch: usize,
-    /// Decide core-point status with an early-exit count before paying
-    /// for the full neighbor list of non-core points.
-    pub count_fast_path: bool,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
-        KernelConfig {
-            layout: KernelLayout::Lanes,
-            lanes: DEFAULT_LANES,
-            batch: 0,
-            count_fast_path: false,
-        }
+        KernelConfig { layout: KernelLayout::Lanes, lanes: DEFAULT_LANES }
     }
 }
 
 impl KernelConfig {
-    /// The seed-path configuration: row-major scalar scans, no
-    /// batching, no fast path — the arm every other configuration is
-    /// checked byte-identical against.
+    /// The seed-path configuration: row-major scalar scans — the arm
+    /// every other configuration is checked byte-identical against.
     pub fn scalar() -> Self {
         KernelConfig { layout: KernelLayout::Scalar, ..Self::default() }
     }
@@ -123,29 +105,13 @@ impl KernelConfig {
         self
     }
 
-    /// Set the executor frontier batch size (`0` = off).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Enable or disable the `min_pts` count-only fast path.
-    pub fn with_count_fast_path(mut self, on: bool) -> Self {
-        self.count_fast_path = on;
-        self
-    }
-
     /// Defaults overlaid with the environment: `DBSCAN_KERNEL`
-    /// (`scalar`/`lanes`), `DBSCAN_KERNEL_LANES` (lane width),
-    /// `DBSCAN_QUERY_BATCH` (frontier chunk, `0` = off) and
-    /// `DBSCAN_COUNT_FAST_PATH` (`1`/`true`). Unset or unparsable
-    /// variables leave the default in place.
+    /// (`scalar`/`lanes`) and `DBSCAN_KERNEL_LANES` (lane width). Unset
+    /// or unparsable variables leave the default in place.
     pub fn from_env() -> Self {
         Self::from_env_values(
             std::env::var("DBSCAN_KERNEL").ok().as_deref(),
             std::env::var("DBSCAN_KERNEL_LANES").ok().as_deref(),
-            std::env::var("DBSCAN_QUERY_BATCH").ok().as_deref(),
-            std::env::var("DBSCAN_COUNT_FAST_PATH").ok().as_deref(),
         )
     }
 
@@ -153,12 +119,7 @@ impl KernelConfig {
     /// variable values so tests can exercise the parsing contract
     /// without touching the process environment. Never panics, never
     /// errors: junk keeps the default for that knob.
-    pub fn from_env_values(
-        layout: Option<&str>,
-        lanes: Option<&str>,
-        batch: Option<&str>,
-        fast: Option<&str>,
-    ) -> Self {
+    pub fn from_env_values(layout: Option<&str>, lanes: Option<&str>) -> Self {
         let mut cfg = Self::default();
         match layout.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
             Some("scalar") => cfg.layout = KernelLayout::Scalar,
@@ -167,14 +128,6 @@ impl KernelConfig {
         }
         if let Some(l) = lanes.and_then(|v| v.trim().parse::<usize>().ok()) {
             cfg.lanes = normalized_lanes(l);
-        }
-        if let Some(b) = batch.and_then(|v| v.trim().parse::<usize>().ok()) {
-            cfg.batch = b;
-        }
-        match fast.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-            Some("1") | Some("true") => cfg.count_fast_path = true,
-            Some("0") | Some("false") => cfg.count_fast_path = false,
-            _ => {}
         }
         cfg
     }
@@ -195,9 +148,8 @@ fn normalized_lanes(lanes: usize) -> usize {
 /// [`crate::QueryScratch`] and surfaced on the executor stats. The
 /// counters are defined over *visited* leaves — blocks touched by the
 /// traversal and the rows those blocks hold — so they are invariant
-/// across scalar, lane-blocked and batched configurations (which visit
-/// the same leaves in the same order). Only the count fast path, which
-/// genuinely prunes traversal, moves them.
+/// across the scalar and lane-blocked layouts (which visit the same
+/// leaves in the same order).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Leaf blocks scanned (one per leaf per query touching it).
@@ -206,8 +158,8 @@ pub struct KernelCounters {
     pub rows_scanned: u64,
     /// Rows reported within the query threshold.
     pub range_hits: u64,
-    /// Scans stopped before their last block (count caps reached,
-    /// pruning budgets exhausted).
+    /// Scans stopped before their last block (pruning budgets
+    /// exhausted).
     pub early_exits: u64,
 }
 
@@ -354,35 +306,6 @@ pub fn scan_block_soa<F: FnMut(usize) -> bool>(
         4 => scan_soa_dispatch::<4, F>(metric, dim, query, soa, rows, thr, on_match),
         16 => scan_soa_dispatch::<16, F>(metric, dim, query, soa, rows, thr, on_match),
         _ => scan_soa_dispatch::<8, F>(metric, dim, query, soa, rows, thr, on_match),
-    }
-}
-
-/// Count the rows of a dimension-major block within `thr`, adding to
-/// `*count` and stopping (at lane-group granularity) once
-/// `*count >= cap`. Returns `true` iff the cap was reached. Any final
-/// `*count` **below** `cap` is the exact block count — early exit can
-/// only fire at or past the cap.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn count_block_soa(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    lanes: usize,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    debug_assert_eq!(soa.len(), rows * dim);
-    if rows == 0 || dim == 0 {
-        return *count >= cap;
-    }
-    match normalized_lanes(lanes) {
-        4 => count_soa_dispatch::<4>(metric, dim, query, soa, rows, thr, cap, count),
-        16 => count_soa_dispatch::<16>(metric, dim, query, soa, rows, thr, cap, count),
-        _ => count_soa_dispatch::<8>(metric, dim, query, soa, rows, thr, cap, count),
     }
 }
 
@@ -576,98 +499,6 @@ unsafe fn scan_soa_lanes_avx512<const L: usize, F: FnMut(usize) -> bool>(
     true
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn count_soa_lanes_avx512<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let mask = unsafe { group_mask_avx512::<L>(metric, dim, query, soa, rows, base, thr) };
-        *count += mask.count_ones() as usize;
-        if *count >= cap {
-            return true;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        *count += (reduced_soa_point(metric, dim, query, soa, rows, i) <= thr) as usize;
-        if *count >= cap {
-            return true;
-        }
-    }
-    false
-}
-
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn count_soa_dispatch<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if L >= 8 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the avx512f feature was just detected on this CPU.
-            return unsafe {
-                count_soa_lanes_avx512::<L>(metric, dim, query, soa, rows, thr, cap, count)
-            };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 feature was just detected on this CPU.
-            return unsafe {
-                count_soa_lanes_avx2::<L>(metric, dim, query, soa, rows, thr, cap, count)
-            };
-        }
-    }
-    count_soa_lanes::<L>(metric, dim, query, soa, rows, thr, cap, count)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn count_soa_lanes_avx2<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let mask = unsafe { group_mask_avx2::<L>(metric, dim, query, soa, rows, base, thr) };
-        *count += mask.count_ones() as usize;
-        if *count >= cap {
-            return true;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        *count += (reduced_soa_point(metric, dim, query, soa, rows, i) <= thr) as usize;
-        if *count >= cap {
-            return true;
-        }
-    }
-    false
-}
-
 #[inline(always)]
 fn scan_soa_lanes<const L: usize, F: FnMut(usize) -> bool>(
     metric: Metric,
@@ -704,40 +535,6 @@ fn scan_soa_lanes<const L: usize, F: FnMut(usize) -> bool>(
         }
     }
     true
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn count_soa_lanes<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    cap: usize,
-    count: &mut usize,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let acc = group_distances::<L>(metric, dim, query, soa, rows, base);
-        let mut mask = 0u32;
-        for (j, &a) in acc.iter().enumerate() {
-            mask |= u32::from(a <= thr) << j;
-        }
-        *count += mask.count_ones() as usize;
-        if *count >= cap {
-            return true;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        *count += (reduced_soa_point(metric, dim, query, soa, rows, i) <= thr) as usize;
-        if *count >= cap {
-            return true;
-        }
-    }
-    false
 }
 
 /// Reduced distances of one full lane group, one lane per point. The
@@ -1011,35 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn count_soa_is_exact_below_cap_and_stops_at_cap() {
-        let data = block(2, 77);
-        let soa = soa_of(&data, 2);
-        let q = [1.0, -2.0];
-        for m in METRICS {
-            for thr in [0.0, 25.0, 1e6] {
-                let mut exact = 0usize;
-                scan_block(m, 2, &q, &data, thr, |_| {
-                    exact += 1;
-                    true
-                });
-                for lanes in LANE_WIDTHS {
-                    // cap above the block count: exact count, no exit
-                    let mut n = 0usize;
-                    let capped = count_block_soa(m, 2, &q, &soa, 77, thr, lanes, exact + 1, &mut n);
-                    assert!(!capped);
-                    assert_eq!(n, exact, "metric={m:?} thr={thr} lanes={lanes}");
-                    // cap at/below the count: must report reached
-                    if exact > 0 {
-                        let mut n = 0usize;
-                        assert!(count_block_soa(m, 2, &q, &soa, 77, thr, lanes, exact, &mut n));
-                        assert!(n >= exact);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn transpose_round_trips_losslessly() {
         for dim in 1..=6 {
             let data = block(dim, 29);
@@ -1088,20 +856,15 @@ mod tests {
         let d = KernelConfig::default();
         assert_eq!(d.layout, KernelLayout::Lanes);
         assert_eq!(d.lanes, DEFAULT_LANES);
-        assert_eq!(d.batch, 0);
-        assert!(!d.count_fast_path);
-        assert_eq!(KernelConfig::from_env_values(None, None, None, None), d);
-        let c =
-            KernelConfig::from_env_values(Some(" SCALAR "), Some("5"), Some("32"), Some("true"));
+        assert_eq!(KernelConfig::from_env_values(None, None), d);
+        let c = KernelConfig::from_env_values(Some(" SCALAR "), Some("5"));
         assert_eq!(c.layout, KernelLayout::Scalar);
         assert_eq!(c.lanes, 8, "5 snaps up to the nearest monomorphized width");
-        assert_eq!(c.batch, 32);
-        assert!(c.count_fast_path);
         // junk keeps defaults per knob
-        let j = KernelConfig::from_env_values(Some("simd"), Some("lots"), Some("-1"), Some("yep"));
+        let j = KernelConfig::from_env_values(Some("simd"), Some("lots"));
         assert_eq!(j, d);
-        assert_eq!(KernelConfig::from_env_values(None, Some("99"), None, None).lanes, 16);
-        assert_eq!(KernelConfig::from_env_values(None, Some("1"), None, None).lanes, 4);
+        assert_eq!(KernelConfig::from_env_values(None, Some("99")).lanes, 16);
+        assert_eq!(KernelConfig::from_env_values(None, Some("1")).lanes, 4);
         assert_eq!(KernelConfig::scalar().layout, KernelLayout::Scalar);
     }
 

@@ -179,22 +179,6 @@ proptest! {
     }
 
     #[test]
-    fn bkdtree_count_at_least_matches_threshold(
-        rows in dataset_strategy(3),
-        eps in 0.0f64..25.0,
-        k in 0usize..12,
-        bucket in 1usize..=16,
-    ) {
-        let ds = Arc::new(Dataset::from_rows(rows));
-        let bkd = BkdTree::build_with(ds.clone(), Metric::Euclidean, bucket);
-        let mut scratch = QueryScratch::new();
-        for (_, row) in ds.iter() {
-            let expect = bkd.range(row, eps).len() >= k;
-            prop_assert_eq!(bkd.count_at_least(row, eps, k, &mut scratch), expect);
-        }
-    }
-
-    #[test]
     fn bkdtree_and_kdtree_agree(rows in dataset_strategy(6), eps in 0.0f64..35.0) {
         let ds = Arc::new(Dataset::from_rows(rows));
         let bkd = BkdTree::build(ds.clone());

@@ -5,9 +5,8 @@
 //! indexes wired through them must still agree with each other.
 
 use dbscan_spatial::{
-    count_block_soa, scan_block, scan_block_generic, scan_block_soa, transpose_block, BkdTree,
-    BruteForceIndex, Dataset, Metric, PointId, QueryScratch, SpatialIndex, LANE_WIDTHS,
-    SPECIALIZED_DIMS,
+    scan_block, scan_block_generic, scan_block_soa, transpose_block, BkdTree, BruteForceIndex,
+    Dataset, Metric, PointId, QueryScratch, SpatialIndex, LANE_WIDTHS, SPECIALIZED_DIMS,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -187,40 +186,6 @@ proptest! {
                 cap.is_none_or(|c| hits.len() < c)
             });
             prop_assert_eq!(&(finished, hits), &scalar, "lanes={}", lanes);
-        }
-    }
-
-    /// The count-only kernel is exact below its cap and agrees with the
-    /// scalar match count; once capped it reports at least the cap.
-    #[test]
-    fn soa_count_is_exact_below_cap(
-        dim in 1usize..=6,
-        seed_rows in dataset_strategy(6),
-        q6 in prop::collection::vec(-60.0f64..60.0, 6..=6),
-        eps in 0.0f64..60.0,
-        metric_idx in 0usize..3,
-        cap in 1usize..200,
-    ) {
-        let metric = METRICS[metric_idx];
-        let block: Vec<f64> =
-            seed_rows.iter().flat_map(|r| r[..dim].iter().copied()).collect();
-        let rows = block.len() / dim;
-        let mut soa = vec![0.0f64; block.len()];
-        transpose_block(&block, dim, &mut soa);
-        let q = &q6[..dim];
-        let thr = metric.threshold(eps);
-        let mut exact = 0usize;
-        scan_block(metric, dim, q, &block, thr, |_| { exact += 1; true });
-        for lanes in LANE_WIDTHS {
-            let mut n = 0usize;
-            let capped = count_block_soa(metric, dim, q, &soa, rows, thr, lanes, cap, &mut n);
-            prop_assert_eq!(capped, exact >= cap, "lanes={}", lanes);
-            if capped {
-                prop_assert!(n >= cap);
-                prop_assert!(n <= exact, "no row is ever counted twice");
-            } else {
-                prop_assert_eq!(n, exact, "below the cap the count must be exact");
-            }
         }
     }
 }

@@ -431,17 +431,14 @@ fn chaos_speculation_on_matches_clean_under_every_plan() {
 }
 
 #[test]
-fn chaos_batched_kernels_match_clean_under_every_plan() {
-    // batched frontier expansion and the min_pts count fast path reuse
-    // per-worker scratch across task attempts — retries, stragglers and
-    // executor kills must never leak a stale epoch, queue chunk or
-    // counter into the labels: every kernel cell under every fault plan
-    // reproduces the clean default-kernel run byte for byte
-    let kernels = [
-        KernelConfig::default().with_batch(16),
-        KernelConfig::default().with_batch(16).with_count_fast_path(true),
-        KernelConfig::scalar().with_batch(3),
-    ];
+fn chaos_kernel_layouts_match_clean_under_every_plan() {
+    // the leaf-scan layouts reuse per-worker query and expansion scratch
+    // across task attempts — retries, stragglers and executor kills must
+    // never leak a stale epoch or counter into the labels: every kernel
+    // cell under every fault plan reproduces the clean default-kernel
+    // run byte for byte
+    let kernels =
+        [KernelConfig::default(), KernelConfig::default().with_lanes(4), KernelConfig::scalar()];
     for seed in SEEDS {
         let (data, params) = dataset(seed);
 
@@ -455,9 +452,8 @@ fn chaos_batched_kernels_match_clean_under_every_plan() {
         for (plan_name, plan) in plans() {
             for kernel in kernels {
                 let tag = format!(
-                    "seed={seed} plan={plan_name} runner=spark-kernel-b{}{}",
-                    kernel.batch,
-                    if kernel.count_fast_path { "-fast" } else { "" }
+                    "seed={seed} plan={plan_name} runner=spark-kernel-{:?}-l{}",
+                    kernel.layout, kernel.lanes
                 );
                 let ctx = Context::new(chaos_config(seed, &plan));
                 let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
@@ -465,7 +461,7 @@ fn chaos_batched_kernels_match_clean_under_every_plan() {
                     SparkDbscan::new(params).exact().resources(res).run(&ctx, Arc::clone(&data));
                 let trace = ctx.trace().snapshot();
                 if out.clustering.canonicalize().labels != reference.labels {
-                    fail(&tag, Some(&trace), "batched-kernel labels differ from clean run");
+                    fail(&tag, Some(&trace), "kernel-layout labels differ from clean run");
                 }
                 let (lost, recomputed) = lost_and_recomputed(&trace);
                 if !recomputed.is_subset(&lost) {
