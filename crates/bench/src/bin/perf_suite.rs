@@ -60,8 +60,11 @@
 //!    matrix against *real* wall-clock stragglers at 1, 2 and 8 worker
 //!    threads: labels — and traces, modulo the zero-tick speculation
 //!    events — must be byte-identical to the speculation-free runs.
-//!    Results land in `<out_dir>/BENCH_PR10.json`; the suite exits
-//!    non-zero on any identity violation or a missed reduction floor.
+//!    The matrix runs more partitions than its largest worker count, so
+//!    every cell has queued tasks behind its stragglers. Results land
+//!    in `<out_dir>/BENCH_PR10.json`; the suite exits non-zero on any
+//!    identity violation, a cell that launched no clone, or a missed
+//!    reduction floor.
 //!
 //! Usage:
 //!   cargo run --release -p dbscan-bench --bin perf_suite -- [out_dir] [n]
@@ -849,6 +852,9 @@ struct ReportPr10 {
     /// makespan — the tail the policy exists to cut.
     tail_stage_ratio: f64,
     job_ratio: f64,
+    /// Partitions of the identity-matrix runs (the model run above
+    /// uses `partitions`).
+    identity_partitions: usize,
     identity: Vec<SpecIdentityCell>,
     total_speculative_launches: usize,
     all_labels_identical: bool,
@@ -918,9 +924,13 @@ fn speculation_experiment(out_dir: &str) {
     // -- identity matrix: real wall-clock stragglers, speculation off
     // (the reference) vs on, at 1, 2 and 8 worker threads. The policy
     // rides the Resources bundle, exercising the full driver plumbing.
+    // With no more partitions than workers, every task starts at once
+    // and a straggler can finish before it overruns the threshold, so
+    // the 8-worker cell would launch nothing: run four tasks per worker.
+    let identity_partitions = 4 * 8;
     let plan = FaultPlan::none().with_stragglers(FaultRule::with_prob(0.3, 1), 25);
     let run_leg = |workers: usize, spec: SpeculationConfig| {
-        let mut cfg = ClusterConfig::local(PARTITIONS)
+        let mut cfg = ClusterConfig::local(identity_partitions)
             .with_seed(SEED)
             .with_trace(TraceConfig::enabled())
             .with_fault(plan.clone());
@@ -928,7 +938,7 @@ fn speculation_experiment(out_dir: &str) {
         let ctx = Context::new(cfg);
         let res = Resources::new().with_speculation(spec);
         let out = SparkDbscan::new(params)
-            .partitions(PARTITIONS)
+            .partitions(identity_partitions)
             .exact()
             .resources(res)
             .run(&ctx, Arc::clone(&data));
@@ -963,6 +973,7 @@ fn speculation_experiment(out_dir: &str) {
         });
     }
     let total_launches: usize = cells.iter().map(|c| c.speculative_launches).sum();
+    let idle_cell = cells.iter().find(|c| c.speculative_launches == 0).map(|c| c.worker_threads);
     let all_labels = cells.iter().all(|c| c.labels_identical);
     let all_traces = cells.iter().all(|c| c.stripped_trace_identical);
 
@@ -979,6 +990,7 @@ fn speculation_experiment(out_dir: &str) {
         job_on_ms,
         tail_stage_ratio,
         job_ratio,
+        identity_partitions,
         identity: cells,
         total_speculative_launches: total_launches,
         all_labels_identical: all_labels,
@@ -994,8 +1006,10 @@ fn speculation_experiment(out_dir: &str) {
         eprintln!("FAIL: stripping speculation events did not recover the clean trace");
         std::process::exit(1);
     }
-    if total_launches == 0 {
-        eprintln!("FAIL: the straggler detector never launched a clone in the identity matrix");
+    if let Some(workers) = idle_cell {
+        eprintln!(
+            "FAIL: the straggler detector launched no clone in the identity cell at {workers} worker threads"
+        );
         std::process::exit(1);
     }
     if tail_stage_ratio < 2.0 {

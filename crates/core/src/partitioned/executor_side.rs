@@ -3,22 +3,32 @@
 //!
 //! The executor owns one contiguous index range. It expands clusters
 //! with the usual queue-based DBSCAN, **but only through points it
-//! owns**: when the queue yields a *foreign* index the executor never
-//! expands it — it either records it as a SEED member (first time that
-//! foreign partition is touched by this cluster, under the paper's
-//! [`SeedPolicy::OnePerPartition`]) or skips it. Neighborhoods are
-//! computed over the **full broadcast dataset**, so core status is
-//! globally exact even though expansion is local.
+//! owns**: a *foreign* neighbour is never expanded — it either becomes
+//! a SEED member (first time that foreign partition is touched by this
+//! cluster, under the paper's [`SeedPolicy::OnePerPartition`]) or is
+//! skipped. Neighborhoods are computed over the **full broadcast
+//! dataset**, so core status is globally exact even though expansion is
+//! local.
 //!
 //! Data structures: the paper's §III-B uses a Java `Hashtable` for
-//! visited state and a `LinkedList` queue for candidates. We keep the
-//! FIFO queue (`VecDeque`) but replace the hashtable with **dense
-//! per-partition arrays** indexed by local offset: the executor only
-//! ever marks its own `[start, end)` points, so an `O(1)` array probe
-//! beats hashing — and keeps per-point cost independent of partition
-//! size (a `HashSet` sized to the whole partition penalizes the
-//! 1-partition baseline through cache misses and would *inflate* the
-//! reported speedups).
+//! visited state and a `LinkedList` queue for candidates, onto which
+//! every neighbour of every core point is pushed; duplicates are
+//! discarded when dequeued. Here the queue is **enqueue-once**: nothing
+//! is pushed whose dequeue would be a no-op, so every dequeued point is
+//! appended to the cluster. Dense epoch-stamped arrays decide that in
+//! `O(1)` without hashing or clearing:
+//!
+//! * own points carry a per-task `queued` stamp, set when they enter
+//!   the queue (or root a cluster), so an own point is queued at most
+//!   once per task — in the literal loop only the first copy of a
+//!   point in the FIFO queue ever acted;
+//! * foreign points carry a per-cluster stamp indexed by global point
+//!   id, so each is looked at once per cluster (Algorithm 3's
+//!   partition test runs once per distinct foreign point);
+//! * foreign partitions carry Algorithm 3's per-cluster `place_flg`.
+//!
+//! The labels, member order and SEEDs are exactly those of the literal
+//! Algorithm 2 loop, which the tests keep as a reference.
 //!
 //! Every own point the loop visits issues exactly one eps-range query
 //! (exact, or pruned under a [`PruneConfig`]), as in Algorithm 2.
@@ -29,7 +39,6 @@ use crate::partitioned::SeedPolicy;
 use dbscan_spatial::{
     BkdTree, KernelConfig, KernelCounters, PointId, PruneConfig, QueryScratch, SpatialIndex,
 };
-use std::collections::{HashSet, VecDeque};
 
 /// Instrumentation returned with each executor's result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,37 +74,40 @@ pub struct LocalClustering {
     pub stats: ExecutorStats,
 }
 
-/// Reusable executor working state, epoch-stamped so nothing is
-/// cleared (or reallocated) between tasks.
+/// Reusable executor working state, stamped so nothing is cleared (or
+/// reallocated) between clusters or tasks.
 ///
-/// The per-partition `visited`/`assigned` arrays are validated by an
-/// epoch stamp: an entry belongs to the current task iff its stamp
-/// equals the task's epoch, so "clearing" them is a single counter
-/// bump. The expansion queue, neighbor buffer and Algorithm-3 seed
-/// tables likewise persist at their high-water capacity across every
-/// partial cluster and every task the executor runs.
+/// The per-task arrays are validated by an epoch: an entry belongs to
+/// the current task iff its stamp equals the task's epoch, so
+/// "clearing" them is a single counter bump. The per-cluster tables use
+/// a monotonic stamp the same way. The queue and neighbor buffer
+/// likewise persist at their high-water capacity across every partial
+/// cluster and every task the executor runs.
 #[derive(Debug, Default)]
 pub struct ExecutorScratch {
-    /// Current task epoch; array entries are live iff stamped with it.
+    /// Current task epoch; per-task entries are live iff stamped with it.
     epoch: u32,
-    /// visited\[i\] iff `visited_epoch[i] == epoch`.
+    /// Own point `i` has been queried iff `visited_epoch[i] == epoch`.
     visited_epoch: Vec<u32>,
-    /// Point `i` already belongs to a cluster of this task iff
-    /// `assigned_epoch[i] == epoch` (first assignment wins; *which*
-    /// cluster claimed it lives in the cluster's member list).
-    assigned_epoch: Vec<u32>,
-    /// FIFO expansion queue (Algorithm 2), reused across clusters.
-    queue: VecDeque<u32>,
+    /// Own point `i` has entered the queue of some cluster of this task
+    /// (or rooted one) iff `queued_epoch[i] == epoch`. A queued point is
+    /// always appended to that cluster, so this is also "assigned".
+    queued_epoch: Vec<u32>,
+    /// FIFO expansion queue of the current cluster, read front to back
+    /// by a cursor (nothing is popped), so its length is everything the
+    /// cluster queued. Cleared when the next cluster starts.
+    queue: Vec<u32>,
     /// Neighborhood query buffer, reused across all queries.
     nbuf: Vec<PointId>,
-    /// Algorithm 3's `place_flg`, stamped by `seed_stamp` — an entry
-    /// belongs to the current cluster iff it holds the cluster's stamp.
-    seeded_partition_stamp: Vec<u64>,
     /// Monotonic per-cluster stamp; never reused across tasks, so the
-    /// partition table survives task boundaries without clearing.
+    /// tables below survive task boundaries without clearing.
     seed_stamp: u64,
-    /// `(slot, point)` pairs already seeded under `PerBoundaryEdge`.
-    seeded_points: HashSet<u64>,
+    /// Algorithm 3's `place_flg`: partition `t` already holds a SEED of
+    /// the current cluster iff `seeded_partition_stamp[t] == seed_stamp`.
+    seeded_partition_stamp: Vec<u64>,
+    /// Foreign point `q` (global id) has been looked at by the current
+    /// cluster iff `foreign_stamp[q] == seed_stamp`.
+    foreign_stamp: Vec<u64>,
 }
 
 impl ExecutorScratch {
@@ -104,32 +116,74 @@ impl ExecutorScratch {
         Self::default()
     }
 
-    /// Start a task over `local_n` points and `partitions` partitions:
-    /// bump the epoch and grow (never shrink) the arrays.
-    fn begin_task(&mut self, local_n: usize, partitions: usize) {
+    /// Start a task over `local_n` own points of a dataset of `n`
+    /// points in `partitions` partitions: bump the epoch and grow (never
+    /// shrink) the arrays.
+    fn begin_task(&mut self, local_n: usize, n: usize, partitions: usize) {
         if self.epoch == u32::MAX {
             // epoch wrap: hard-reset the stamps once every 2^32 tasks
             self.visited_epoch.iter_mut().for_each(|s| *s = 0);
-            self.assigned_epoch.iter_mut().for_each(|s| *s = 0);
+            self.queued_epoch.iter_mut().for_each(|s| *s = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
         if self.visited_epoch.len() < local_n {
             self.visited_epoch.resize(local_n, 0);
-            self.assigned_epoch.resize(local_n, 0);
+            self.queued_epoch.resize(local_n, 0);
         }
         if self.seeded_partition_stamp.len() < partitions {
             self.seeded_partition_stamp.resize(partitions, 0);
         }
-        // slots restart at 0 each task, so the (slot, point) key set
-        // must not leak across tasks; clearing keeps its capacity
-        self.seeded_points.clear();
-        self.queue.clear();
+        if self.foreign_stamp.len() < n {
+            self.foreign_stamp.resize(n, 0);
+        }
+    }
+
+    /// Push the neighbours in `nbuf` whose dequeue would change the
+    /// current cluster: own points not yet queued in this task, and
+    /// foreign points the cluster has not looked at yet — all of them
+    /// under [`SeedPolicy::PerBoundaryEdge`], only the first of each
+    /// still unseeded partition under [`SeedPolicy::OnePerPartition`].
+    fn enqueue_neighbors(&mut self, own: (u32, u32), ranges: &PartitionRanges, policy: SeedPolicy) {
+        let (start, end) = own;
+        let (epoch, stamp) = (self.epoch, self.seed_stamp);
+        for &PointId(r) in &self.nbuf {
+            if r >= start && r < end {
+                let queued = &mut self.queued_epoch[(r - start) as usize];
+                if *queued != epoch {
+                    *queued = epoch;
+                    self.queue.push(r);
+                }
+                continue;
+            }
+            let seen = &mut self.foreign_stamp[r as usize];
+            if *seen == stamp {
+                continue;
+            }
+            *seen = stamp;
+            let place = match policy {
+                SeedPolicy::OnePerPartition => {
+                    let placed = &mut self.seeded_partition_stamp[ranges.partition_of(r)];
+                    std::mem::replace(placed, stamp) != stamp
+                }
+                SeedPolicy::PerBoundaryEdge => true,
+            };
+            if place {
+                self.queue.push(r);
+            }
+        }
     }
 
     /// High-water capacity of the visited array (test hook).
     pub fn capacity(&self) -> usize {
         self.visited_epoch.len()
+    }
+
+    /// Entries the last cluster of the last task pushed onto the queue
+    /// (test hook).
+    #[cfg(test)]
+    fn last_cluster_queue_len(&self) -> usize {
+        self.queue.len()
     }
 }
 
@@ -248,18 +302,8 @@ pub fn local_partial_clusters_scratch(
     let owner = partition as u32;
     let local_n = (end - start) as usize;
 
-    scratch.begin_task(local_n, ranges.num_partitions());
+    scratch.begin_task(local_n, ranges.num_points(), ranges.num_partitions());
     let epoch = scratch.epoch;
-    let ExecutorScratch {
-        visited_epoch,
-        assigned_epoch,
-        queue,
-        nbuf,
-        seeded_partition_stamp,
-        seed_stamp,
-        seeded_points,
-        ..
-    } = scratch;
 
     let mut clusters: Vec<PartialCluster> = Vec::new();
     let mut core_points: Vec<u32> = Vec::new();
@@ -268,15 +312,15 @@ pub fn local_partial_clusters_scratch(
     for p in start..end {
         let pl = (p - start) as usize;
         stats.points_processed += 1;
-        if visited_epoch[pl] == epoch {
+        if scratch.visited_epoch[pl] == epoch {
             continue;
         }
-        visited_epoch[pl] = epoch;
-        nbuf.clear();
-        neighbors_of(p, nbuf);
+        scratch.visited_epoch[pl] = epoch;
+        scratch.nbuf.clear();
+        neighbors_of(p, &mut scratch.nbuf);
         stats.neighbor_queries += 1;
-        stats.neighbors_found += nbuf.len();
-        if nbuf.len() < params.min_pts {
+        stats.neighbors_found += scratch.nbuf.len();
+        if scratch.nbuf.len() < params.min_pts {
             // Algorithm 2 line 9: "mark p as noise" (it may later be
             // claimed as a border point by an expanding cluster)
             stats.local_noise += 1;
@@ -284,73 +328,40 @@ pub fn local_partial_clusters_scratch(
         }
 
         // Algorithm 2 line 8: create a new cluster C and add p to it
-        let slot = clusters.len() as u32;
-        *seed_stamp += 1;
-        let stamp = *seed_stamp;
+        scratch.seed_stamp += 1;
         let mut cluster = PartialCluster::new(owner, (start, end));
         cluster.members.push(p);
-        assigned_epoch[pl] = epoch;
+        scratch.queued_epoch[pl] = epoch;
         core_points.push(p);
 
-        queue.clear();
-        queue.extend(nbuf.iter().map(|id| id.0).filter(|&r| {
-            // own points that are already visited *and* assigned have
-            // nothing left to do at dequeue — don't enqueue them at all
-            !(r >= start && r < end && {
-                let rl = (r - start) as usize;
-                visited_epoch[rl] == epoch && assigned_epoch[rl] == epoch
-            })
-        }));
-        while let Some(q) = queue.pop_front() {
+        scratch.queue.clear();
+        scratch.enqueue_neighbors((start, end), ranges, seed_policy);
+        let mut head = 0;
+        while let Some(&q) = scratch.queue.get(head) {
+            head += 1;
+            // every queued point joins C: an own point is claimed (lines
+            // 13-22), a foreign one is a SEED (Algorithm 3) and is never
+            // expanded — "each executor only computes the points that
+            // belong to it"
+            cluster.members.push(q);
             if q < start || q >= end {
-                // foreign point: SEED placement (Algorithm 3), never
-                // expanded — "each executor only computes the points
-                // that belong to it"
-                let place = match seed_policy {
-                    SeedPolicy::OnePerPartition => {
-                        let pt = ranges.partition_of(q);
-                        let fresh = seeded_partition_stamp[pt] != stamp;
-                        seeded_partition_stamp[pt] = stamp;
-                        fresh
-                    }
-                    SeedPolicy::PerBoundaryEdge => {
-                        seeded_points.insert((slot as u64) << 32 | q as u64)
-                    }
-                };
-                if place {
-                    cluster.members.push(q);
-                    stats.seeds_placed += 1;
-                }
+                stats.seeds_placed += 1;
                 continue;
             }
             let ql = (q - start) as usize;
-            if visited_epoch[ql] == epoch {
-                // Algorithm 2 lines 20-22: add to C if not yet a member
-                // of any cluster (border-point claim)
-                if assigned_epoch[ql] != epoch {
-                    assigned_epoch[ql] = epoch;
-                    cluster.members.push(q);
-                }
+            if scratch.visited_epoch[ql] == epoch {
+                // top-level noise, claimed as a border point
                 continue;
             }
-            // Algorithm 2 lines 13-19: visit q, claim it, test core status
-            visited_epoch[ql] = epoch;
-            if assigned_epoch[ql] != epoch {
-                assigned_epoch[ql] = epoch;
-                cluster.members.push(q);
-            }
-            nbuf.clear();
-            neighbors_of(q, nbuf);
+            // Algorithm 2 lines 13-19: visit q and test core status
+            scratch.visited_epoch[ql] = epoch;
+            scratch.nbuf.clear();
+            neighbors_of(q, &mut scratch.nbuf);
             stats.neighbor_queries += 1;
-            stats.neighbors_found += nbuf.len();
-            if nbuf.len() >= params.min_pts {
+            stats.neighbors_found += scratch.nbuf.len();
+            if scratch.nbuf.len() >= params.min_pts {
                 core_points.push(q);
-                queue.extend(nbuf.iter().map(|id| id.0).filter(|&r| {
-                    !(r >= start && r < end && {
-                        let rl = (r - start) as usize;
-                        visited_epoch[rl] == epoch && assigned_epoch[rl] == epoch
-                    })
-                }));
+                scratch.enqueue_neighbors((start, end), ranges, seed_policy);
             }
         }
         clusters.push(cluster);
@@ -389,7 +400,231 @@ pub fn local_partial_clusters_source<S: NeighborSource>(
 mod tests {
     use super::*;
     use dbscan_spatial::{BuildConfig, Dataset, KdTree, Metric, SpatialIndex};
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use std::collections::{HashSet, VecDeque};
     use std::sync::Arc;
+
+    /// The literal Algorithm 2 + 3 loop, kept as the reference for the
+    /// enqueue-once executor: every neighbour of every core point is
+    /// pushed onto the queue and duplicates are dropped when dequeued.
+    /// Also returns the queue's high-water length.
+    fn reference_local_partial_clusters(
+        mut neighbors_of: impl FnMut(u32, &mut Vec<PointId>),
+        params: DbscanParams,
+        ranges: &PartitionRanges,
+        partition: usize,
+        seed_policy: SeedPolicy,
+    ) -> (LocalClustering, usize) {
+        let (start, end) = ranges.range(partition);
+        let local_n = (end - start) as usize;
+        let mut visited = vec![false; local_n];
+        let mut assigned = vec![false; local_n];
+        let mut queue: VecDeque<u32> = VecDeque::new();
+        let mut high_water = 0;
+        let mut nbuf = Vec::new();
+        let mut seeded_points: HashSet<u64> = HashSet::new();
+
+        let mut clusters: Vec<PartialCluster> = Vec::new();
+        let mut core_points: Vec<u32> = Vec::new();
+        let mut stats = ExecutorStats::default();
+
+        for p in start..end {
+            let pl = (p - start) as usize;
+            stats.points_processed += 1;
+            if visited[pl] {
+                continue;
+            }
+            visited[pl] = true;
+            nbuf.clear();
+            neighbors_of(p, &mut nbuf);
+            stats.neighbor_queries += 1;
+            stats.neighbors_found += nbuf.len();
+            if nbuf.len() < params.min_pts {
+                stats.local_noise += 1;
+                continue;
+            }
+            let slot = clusters.len() as u32;
+            let mut seeded_partitions = vec![false; ranges.num_partitions()];
+            let mut cluster = PartialCluster::new(partition as u32, (start, end));
+            cluster.members.push(p);
+            assigned[pl] = true;
+            core_points.push(p);
+
+            let done = |r: u32, visited: &[bool], assigned: &[bool]| {
+                r >= start
+                    && r < end
+                    && visited[(r - start) as usize]
+                    && assigned[(r - start) as usize]
+            };
+            queue.clear();
+            queue.extend(nbuf.iter().map(|id| id.0).filter(|&r| !done(r, &visited, &assigned)));
+            high_water = high_water.max(queue.len());
+            while let Some(q) = queue.pop_front() {
+                if q < start || q >= end {
+                    let place = match seed_policy {
+                        SeedPolicy::OnePerPartition => {
+                            !std::mem::replace(&mut seeded_partitions[ranges.partition_of(q)], true)
+                        }
+                        SeedPolicy::PerBoundaryEdge => {
+                            seeded_points.insert((slot as u64) << 32 | q as u64)
+                        }
+                    };
+                    if place {
+                        cluster.members.push(q);
+                        stats.seeds_placed += 1;
+                    }
+                    continue;
+                }
+                let ql = (q - start) as usize;
+                if visited[ql] {
+                    if !assigned[ql] {
+                        assigned[ql] = true;
+                        cluster.members.push(q);
+                    }
+                    continue;
+                }
+                visited[ql] = true;
+                if !assigned[ql] {
+                    assigned[ql] = true;
+                    cluster.members.push(q);
+                }
+                nbuf.clear();
+                neighbors_of(q, &mut nbuf);
+                stats.neighbor_queries += 1;
+                stats.neighbors_found += nbuf.len();
+                if nbuf.len() >= params.min_pts {
+                    core_points.push(q);
+                    queue.extend(
+                        nbuf.iter().map(|id| id.0).filter(|&r| !done(r, &visited, &assigned)),
+                    );
+                    high_water = high_water.max(queue.len());
+                }
+            }
+            clusters.push(cluster);
+        }
+        (LocalClustering { clusters, core_points, stats }, high_water)
+    }
+
+    /// A small random dataset in `d` dimensions: each coordinate is
+    /// either a grid value (a multiple of 1.0, so with `eps = 1.0` many
+    /// pairs sit exactly eps apart and many points coincide) or a
+    /// uniform value over the same span.
+    fn random_rows(rng: &mut TestRng, d: usize, n: usize) -> Vec<Vec<f64>> {
+        let span = 1 + rng.below(5);
+        (0..n)
+            .map(|_| {
+                let grid = rng.below(4) != 0;
+                (0..d)
+                    .map(|_| {
+                        if grid {
+                            rng.below(span + 1) as f64
+                        } else {
+                            rng.unit_f64() * span as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `p` contiguous ranges over `n` points with random cuts; equal
+    /// cuts make empty partitions.
+    fn random_ranges(rng: &mut TestRng, n: usize, p: usize) -> PartitionRanges {
+        let mut inner: Vec<u32> = (1..p).map(|_| rng.below(n + 1) as u32).collect();
+        inner.sort_unstable();
+        let cuts = std::iter::once(0).chain(inner).chain(std::iter::once(n as u32)).collect();
+        PartitionRanges::from_cuts(n, cuts)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn enqueue_once_matches_the_literal_loop(
+            d in 1usize..=4,
+            min_pts in 1usize..=6,
+            seed in any::<u64>(),
+        ) {
+            // one scratch across tasks over datasets of different n,
+            // every partition, both policies
+            let mut rng = TestRng::new(seed);
+            let mut scratch = ExecutorScratch::new();
+            let params = DbscanParams::new(1.0, min_pts).unwrap();
+            for _task_set in 0..3 {
+                let n = 1 + rng.below(48);
+                let ds = Arc::new(Dataset::from_rows(random_rows(&mut rng, d, n)));
+                let tree = BkdTree::build(ds.clone());
+                let p = 1 + rng.below(7);
+                let ranges = random_ranges(&mut rng, n, p);
+                let mut qs = QueryScratch::new();
+                let mut nbrs = |q: u32, out: &mut Vec<PointId>| {
+                    tree.range_into_scratch(ds.point(PointId(q)), params.eps, &mut qs, out)
+                };
+                for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+                    for part in 0..ranges.num_partitions() {
+                        let (want, _) = reference_local_partial_clusters(
+                            &mut nbrs, params, &ranges, part, policy,
+                        );
+                        let got = local_partial_clusters_scratch(
+                            &mut nbrs, params, &ranges, part, policy, &mut scratch,
+                        );
+                        prop_assert_eq!(
+                            &got, &want,
+                            "n={} d={} {:?} part={} {:?}", n, d, ranges.cut_points(), part, policy
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn queue_holds_each_point_at_most_once_per_cluster() {
+        // a dense blob: every point neighbours every other point, so the
+        // literal loop queues every neighbourhood of every core point —
+        // O(n^2) entries — while enqueue-once holds each own point and
+        // each distinct foreign neighbour once
+        let n = 90;
+        let rows = (0..n).map(|i| vec![i as f64 * 1e-3, (i % 7) as f64 * 1e-3]).collect();
+        let tree = KdTree::build(Arc::new(Dataset::from_rows(rows)));
+        let data = tree.dataset().clone();
+        let params = DbscanParams::new(1.0, 3).unwrap();
+        let ranges = PartitionRanges::new(n, 3);
+        let nbrs = |q: u32, out: &mut Vec<PointId>| {
+            tree.range_into(data.point(PointId(q)), params.eps, out)
+        };
+        for policy in [SeedPolicy::OnePerPartition, SeedPolicy::PerBoundaryEdge] {
+            for part in 0..3 {
+                let mut scratch = ExecutorScratch::new();
+                let got = local_partial_clusters_scratch(
+                    nbrs,
+                    params,
+                    &ranges,
+                    part,
+                    policy,
+                    &mut scratch,
+                );
+                let (want, literal_high_water) =
+                    reference_local_partial_clusters(nbrs, params, &ranges, part, policy);
+                assert_eq!(got, want);
+                assert_eq!(got.clusters.len(), 1, "the blob is one cluster");
+                let (start, end) = ranges.range(part);
+                let own = (end - start) as usize;
+                let foreign = n - own;
+                // every own point but the root, plus one SEED per other
+                // partition or every foreign point
+                let foreign_queued = match policy {
+                    SeedPolicy::OnePerPartition => 2,
+                    SeedPolicy::PerBoundaryEdge => foreign,
+                };
+                let queued = scratch.last_cluster_queue_len();
+                assert_eq!(queued, own - 1 + foreign_queued, "{policy:?} part={part}");
+                assert!(queued <= own + foreign);
+                assert!(literal_high_water >= own * foreign, "the literal loop holds O(n^2)");
+            }
+        }
+    }
 
     /// 1-d chain of points 1.0 apart: with eps=1.1 / minpts=2 the whole
     /// line is one density-connected cluster.
@@ -514,7 +749,7 @@ mod tests {
     #[test]
     fn members_are_unique_within_a_cluster() {
         let tree = chain_tree(30);
-        let params = DbscanParams::new(3.5, 2).unwrap(); // wide eps, heavy re-enqueueing
+        let params = DbscanParams::new(3.5, 2).unwrap(); // wide eps: every point reached many times
         let ranges = PartitionRanges::new(30, 3);
         for part in 0..3 {
             let local = run(&tree, params, &ranges, part, SeedPolicy::PerBoundaryEdge);

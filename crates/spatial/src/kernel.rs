@@ -93,12 +93,6 @@ impl KernelConfig {
         KernelConfig { layout: KernelLayout::Scalar, ..Self::default() }
     }
 
-    /// Set the leaf-block layout.
-    pub fn with_layout(mut self, layout: KernelLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
     /// Set the SoA lane width (normalized to one of [`LANE_WIDTHS`]).
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = normalized_lanes(lanes);
