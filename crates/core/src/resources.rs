@@ -19,6 +19,10 @@
 //! | `DBSCAN_KERNEL` | `build.kernel.layout` | `scalar` or `lanes` leaf-scan layout |
 //! | `DBSCAN_KERNEL_LANES` | `build.kernel.lanes` | lane width (rounded to 4/8/16) |
 //!
+//! The three integers are parsed by one strict digit-only parser,
+//! [`dbscan_spatial::parse_env_uint`]: `+8`, `-1` or an empty value
+//! leaves the default in place.
+//!
 //! Every field is benign to vary: clustering labels are identical for
 //! any `Resources` value (budgets spill, never drop data; thread counts
 //! are byte-deterministic by construction), only speed and memory
@@ -30,7 +34,7 @@
 //! [`SparkDbscan::resources`]: crate::partitioned::driver::SparkDbscan::resources
 
 use crate::partitioned::planner::Balance;
-use dbscan_spatial::BuildConfig;
+use dbscan_spatial::{parse_env_uint, BuildConfig};
 use sparklet::{MemoryBudget, SpeculationConfig};
 
 /// Execution-resource configuration shared by the driver builders and
@@ -108,7 +112,9 @@ impl Resources {
     /// a leading `+` (or any other non-digit) rejects the value. An
     /// environment variable carrying `+8` is far likelier a templating
     /// bug than an intentional sign, and silently accepting it would
-    /// make the contract depend on `FromStr` quirks.
+    /// make the contract depend on `FromStr` quirks. Every `DBSCAN_*`
+    /// integer goes through the one parser,
+    /// [`dbscan_spatial::parse_env_uint`].
     pub fn from_env_values(build_threads: Option<&str>, mem_budget: Option<&str>) -> Self {
         let mut r = Resources::new();
         if let Some(t) = build_threads.and_then(parse_env_uint::<usize>) {
@@ -165,18 +171,6 @@ impl Default for Resources {
     fn default() -> Self {
         Resources::new()
     }
-}
-
-/// Strict digit-only unsigned parsing for environment values: optional
-/// surrounding whitespace around a non-empty run of ASCII digits,
-/// nothing else. Rejects the leading `+` that integer `FromStr` would
-/// accept (see [`Resources::from_env_values`]).
-fn parse_env_uint<T: std::str::FromStr>(v: &str) -> Option<T> {
-    let t = v.trim();
-    if t.is_empty() || !t.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    t.parse::<T>().ok()
 }
 
 /// `DBSCAN_MEM_BUDGET` parser: a byte count bounds the budget; unset or

@@ -79,21 +79,6 @@ impl Default for BuildConfig {
 }
 
 impl BuildConfig {
-    /// Default configuration with the thread count taken from the
-    /// `DBSCAN_BUILD_THREADS` environment variable when set (the CI
-    /// thread matrix runs the whole suite under 1 and 8) and the kernel
-    /// knobs from [`KernelConfig::from_env`].
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(t) =
-            std::env::var("DBSCAN_BUILD_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            cfg.threads = t;
-        }
-        cfg.kernel = KernelConfig::from_env();
-        cfg
-    }
-
     /// Set the worker thread count (`0` = auto).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -232,9 +217,17 @@ struct BNode {
     a: u32,
     /// Internal: unused. Leaf: end (exclusive) of the point range.
     b: u32,
+    /// Internal: unused. Leaf: first padded row of the leaf's block in
+    /// the SoA mirror (`0` under [`KernelLayout::Scalar`]). Derived from
+    /// the leaf sizes, so [`BkdTree::same_structure`] ignores it.
+    soa_at: u32,
     /// Internal: split coordinate. Leaf: unused.
     split: f64,
 }
+
+// `soa_at` fills what was alignment padding: the node, and with it
+// `shipped_bytes` and every `BroadcastCreate` trace event, keeps its size.
+const _: () = assert!(std::mem::size_of::<BNode>() == 24);
 
 impl BNode {
     #[inline]
@@ -286,11 +279,13 @@ pub struct BkdTree {
     nodes: Vec<BNode>,
     /// Tree-order copy of the coordinates (row-major, `dim` per point).
     coords: Vec<f64>,
-    /// Dimension-major (SoA) copy of each leaf's coordinate block: leaf
-    /// `[start, end)` owns `soa[start * d..end * d]`, transposed so
-    /// coordinate `k` of the leaf's point `i` sits at
-    /// `start * d + k * (end - start) + i`. Empty under
-    /// [`KernelLayout::Scalar`].
+    /// Padded dimension-major (SoA) copy of each leaf's coordinate
+    /// block. A leaf of `rows` points gets column stride
+    /// `stride = rows` rounded up to the lane width and owns
+    /// `soa[soa_at * d..(soa_at + stride) * d]`, with coordinate `k` of
+    /// its point `i` at `soa_at * d + k * stride + i`. The `stride - rows`
+    /// padding slots per column hold zeros the kernel masks out. Empty
+    /// under [`KernelLayout::Scalar`].
     soa: Vec<f64>,
     /// `ids[pos]` = original dataset index of tree-order position `pos`.
     ids: Vec<u32>,
@@ -336,8 +331,10 @@ impl BkdTree {
         let threads = cfg.effective_threads().max(1);
         let n = dataset.len();
         let d = dataset.dim();
+        // snap the lane width once, so the padding and the scans agree
+        let kernel = cfg.kernel.with_lanes(cfg.kernel.lanes);
         let mut ids: Vec<u32> = (0..n as u32).collect();
-        let (nodes, mut report) = if n == 0 {
+        let (mut nodes, mut report) = if n == 0 {
             (Vec::new(), BuildReport::default())
         } else {
             build_rec(&dataset, &mut ids, 0, 0, bucket_size, cutoff, cfg.fork_budget())
@@ -360,21 +357,18 @@ impl BkdTree {
             }
         }
         report.coords_nanos = t.elapsed().as_nanos() as u64;
-        // materialize the dimension-major leaf blocks the lane-blocked
-        // kernels scan; per-leaf transposes over disjoint ranges, so the
-        // leaf list chunks across the same workers
+        // materialize the padded dimension-major leaf blocks the
+        // lane-blocked kernels scan; per-leaf transposes over disjoint
+        // ranges, so the leaf list chunks across the same workers
         let t = Instant::now();
-        let soa = if cfg.kernel.layout == KernelLayout::Lanes && n > 0 && d > 0 {
-            build_soa(&nodes, &coords, d, threads)
+        let soa = if kernel.layout == KernelLayout::Lanes && n > 0 && d > 0 {
+            build_soa(&mut nodes, &coords, d, kernel.lanes, threads)
         } else {
             Vec::new()
         };
         report.soa_nanos = t.elapsed().as_nanos() as u64;
         report.total_nanos = total.elapsed().as_nanos() as u64;
-        (
-            BkdTree { dataset, nodes, coords, soa, ids, metric, bucket_size, kernel: cfg.kernel },
-            report,
-        )
+        (BkdTree { dataset, nodes, coords, soa, ids, metric, bucket_size, kernel }, report)
     }
 
     /// Whether two trees are structurally identical: same flat node
@@ -436,14 +430,46 @@ impl BkdTree {
         &self.coords[start * d..end * d]
     }
 
-    /// Dimension-major (SoA) coordinate block of leaf `[start, end)`;
-    /// `None` under [`KernelLayout::Scalar`], which keeps no SoA mirror.
-    pub fn leaf_soa(&self, start: usize, end: usize) -> Option<&[f64]> {
+    /// Padded dimension-major (SoA) block of leaf `[start, end)` and its
+    /// column stride — exactly what the leaf scans hand to
+    /// [`crate::kernel::scan_block_soa`]. The block holds `stride * dim`
+    /// values; rows `end - start..stride` of each column are padding.
+    /// `None` under [`KernelLayout::Scalar`], which keeps no SoA mirror,
+    /// or when `[start, end)` is not a leaf of this tree (one of
+    /// [`BkdTree::leaf_ranges`]).
+    pub fn leaf_soa(&self, start: usize, end: usize) -> Option<(&[f64], usize)> {
         if self.soa.is_empty() {
             return None;
         }
+        // descend towards `start` by the build's split rule: a node over
+        // `[lo, hi)` gives its left child `[lo, lo + (hi - lo) / 2)`
+        let (mut at, mut lo, mut hi) = (0usize, 0usize, self.len());
+        let node = loop {
+            let node = self.nodes[at];
+            if node.is_leaf() {
+                break node;
+            }
+            let mid = lo + (hi - lo) / 2;
+            if start < mid {
+                (at, hi) = (at + 1, mid);
+            } else {
+                (at, lo) = (node.a as usize, mid);
+            }
+        };
+        ((node.a as usize, node.b as usize) == (start, end)).then(|| self.soa_block(node))
+    }
+
+    /// The padded SoA block of a leaf node and its column stride.
+    #[inline]
+    fn soa_block(&self, leaf: BNode) -> (&[f64], usize) {
         let d = self.dataset.dim().max(1);
-        Some(&self.soa[start * d..end * d])
+        // `rows.next_multiple_of(lanes)` without a division on the hot
+        // path: the lane widths are powers of two
+        let lanes = self.kernel.lanes;
+        debug_assert!(lanes.is_power_of_two());
+        let stride = ((leaf.b - leaf.a) as usize + lanes - 1) & !(lanes - 1);
+        let at = leaf.soa_at as usize * d;
+        (&self.soa[at..at + stride * d], stride)
     }
 
     /// The build permutation: `tree_order()[pos]` is the original id of
@@ -471,9 +497,8 @@ impl BkdTree {
         deepest
     }
 
-    /// Logical size in bytes of the serialized tree (what broadcasting
-    /// it would ship in a real cluster): nodes + permuted coordinates +
-    /// the id permutation.
+    /// Bytes the tree holds: nodes + permuted coordinates + the padded
+    /// SoA mirror (padding included) + the id permutation.
     pub fn size_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<BNode>()
             + self.coords.len() * std::mem::size_of::<f64>()
@@ -491,19 +516,19 @@ impl BkdTree {
         self.size_bytes() - self.soa.len() * std::mem::size_of::<f64>()
     }
 
-    /// Scan leaf `[start, end)` against `query`, dispatching on the
-    /// tree's configured leaf layout. Both arms report matches in the
-    /// same row order with bit-identical distances.
+    /// Scan `leaf` against `query`, dispatching on the tree's configured
+    /// leaf layout. Both arms report matches in the same row order with
+    /// bit-identical distances; only real rows are ever reported.
     #[inline]
     fn scan_leaf<F: FnMut(usize) -> bool>(
         &self,
-        start: usize,
-        end: usize,
+        leaf: BNode,
         d: usize,
         query: &[f64],
         thr: f64,
         on_match: F,
     ) -> bool {
+        let (start, end) = (leaf.a as usize, leaf.b as usize);
         match self.kernel.layout {
             KernelLayout::Scalar => crate::kernel::scan_block(
                 self.metric,
@@ -513,16 +538,20 @@ impl BkdTree {
                 thr,
                 on_match,
             ),
-            KernelLayout::Lanes => crate::kernel::scan_block_soa(
-                self.metric,
-                d,
-                query,
-                &self.soa[start * d..end * d],
-                end - start,
-                thr,
-                self.kernel.lanes,
-                on_match,
-            ),
+            KernelLayout::Lanes => {
+                let (soa, stride) = self.soa_block(leaf);
+                crate::kernel::scan_block_soa(
+                    self.metric,
+                    d,
+                    query,
+                    soa,
+                    stride,
+                    end - start,
+                    thr,
+                    self.kernel.lanes,
+                    on_match,
+                )
+            }
         }
     }
 
@@ -575,7 +604,7 @@ impl BkdTree {
                 let (start, end) = (node.a as usize, node.b as usize);
                 counters.blocks_scanned += 1;
                 counters.rows_scanned += (end - start) as u64;
-                let finished = self.scan_leaf(start, end, d, query, thr, |i| {
+                let finished = self.scan_leaf(node, d, query, thr, |i| {
                     out.push(PointId(self.ids[start + i]));
                     reported += 1;
                     cfg.max_neighbors.is_none_or(|maxn| reported < maxn)
@@ -688,8 +717,7 @@ impl SpatialIndex for BkdTree {
             while let Some(at) = stack.pop() {
                 let node = self.nodes[at as usize];
                 if node.is_leaf() {
-                    let (start, end) = (node.a as usize, node.b as usize);
-                    self.scan_leaf(start, end, d, query, thr, |_| {
+                    self.scan_leaf(node, d, query, thr, |_| {
                         count += 1;
                         true
                     });
@@ -719,49 +747,63 @@ fn gather_coords(ds: &Dataset, ids: &[u32], out: &mut [f64], d: usize) {
     }
 }
 
-/// Materialize the dimension-major mirror of every leaf's coordinate
-/// block. Leaf ranges tile `[0, n)` contiguously in flat node order, so
-/// the leaf list chunks across workers and each worker transposes a
-/// disjoint `soa` slice.
-fn build_soa(nodes: &[BNode], coords: &[f64], d: usize, threads: usize) -> Vec<f64> {
-    let mut soa = vec![0.0f64; coords.len()];
-    let leaves: Vec<(usize, usize)> =
-        nodes.iter().filter(|n| n.is_leaf()).map(|n| (n.a as usize, n.b as usize)).collect();
+/// Materialize the padded dimension-major mirror of every leaf's
+/// coordinate block. A prefix sum over the leaves (flat node order)
+/// gives each leaf its padded offset, recorded in [`BNode::soa_at`];
+/// the padded ranges then tile the mirror contiguously, so the leaf
+/// list chunks across workers and each worker transposes a disjoint
+/// `soa` slice.
+fn build_soa(
+    nodes: &mut [BNode],
+    coords: &[f64],
+    d: usize,
+    lanes: usize,
+    threads: usize,
+) -> Vec<f64> {
+    // (start, end, padded offset, stride) per leaf
+    let mut leaves: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let mut padded = 0usize;
+    for node in nodes.iter_mut().filter(|n| n.is_leaf()) {
+        let (start, end) = (node.a as usize, node.b as usize);
+        let stride = (end - start).next_multiple_of(lanes);
+        node.soa_at = u32::try_from(padded).expect("padded leaf rows fit the u32 offset");
+        leaves.push((start, end, padded, stride));
+        padded += stride;
+    }
+    let mut soa = vec![0.0f64; padded * d];
     if threads <= 1 || leaves.len() < 2 {
         transpose_leaves(&leaves, coords, d, &mut soa, 0);
     } else {
         let per = leaves.len().div_ceil(threads);
         std::thread::scope(|s| {
             let mut rest: &mut [f64] = &mut soa;
-            let mut consumed = 0usize;
             for chunk in leaves.chunks(per) {
-                let start = chunk.first().expect("non-empty chunk").0;
-                let end = chunk.last().expect("non-empty chunk").1;
-                debug_assert_eq!(start, consumed, "leaves must tile [0, n) in node order");
-                let (mine, tail) = rest.split_at_mut((end - start) * d);
+                let &(_, _, first, _) = chunk.first().expect("non-empty chunk");
+                let &(_, _, last, stride) = chunk.last().expect("non-empty chunk");
+                let (mine, tail) = rest.split_at_mut((last + stride - first) * d);
                 rest = tail;
-                consumed = end;
-                s.spawn(move || transpose_leaves(chunk, coords, d, mine, start));
+                s.spawn(move || transpose_leaves(chunk, coords, d, mine, first));
             }
         });
     }
     soa
 }
 
-/// Transpose a run of leaves into an `out` slice that starts at
-/// tree-order position `base`.
+/// Transpose a run of leaves into an `out` slice that starts at padded
+/// row `base` of the mirror.
 fn transpose_leaves(
-    leaves: &[(usize, usize)],
+    leaves: &[(usize, usize, usize, usize)],
     coords: &[f64],
     d: usize,
     out: &mut [f64],
     base: usize,
 ) {
-    for &(start, end) in leaves {
+    for &(start, end, at, stride) in leaves {
         crate::kernel::transpose_block(
             &coords[start * d..end * d],
             d,
-            &mut out[(start - base) * d..(end - base) * d],
+            stride,
+            &mut out[(at - base) * d..(at - base + stride) * d],
         );
     }
 }
@@ -824,7 +866,7 @@ fn build_rec(
 
     let mut nodes = Vec::with_capacity(1 + left.len() + right.len());
     let right_at = 1 + left.len() as u32;
-    nodes.push(BNode { axis: axis as u32, a: right_at, b: 0, split });
+    nodes.push(BNode { axis: axis as u32, a: right_at, b: 0, soa_at: 0, split });
     // splice the children, shifting their internal child links (leaf
     // ranges are already absolute)
     nodes.extend(left.into_iter().map(|mut n| {
@@ -868,7 +910,13 @@ fn merge_reports(
 fn build_seq(ds: &Dataset, ids: &mut [u32], off: usize, bucket: usize) -> Vec<BNode> {
     let len = ids.len();
     if len <= bucket {
-        return vec![BNode { axis: LEAF, a: off as u32, b: (off + len) as u32, split: 0.0 }];
+        return vec![BNode {
+            axis: LEAF,
+            a: off as u32,
+            b: (off + len) as u32,
+            soa_at: 0,
+            split: 0.0,
+        }];
     }
     let axis = widest_axis(ds, ids);
     let mid = len / 2;
@@ -884,7 +932,7 @@ fn build_seq(ds: &Dataset, ids: &mut [u32], off: usize, bucket: usize) -> Vec<BN
 
     let mut nodes = Vec::with_capacity(1 + left.len() + right.len());
     let right_at = 1 + left.len() as u32;
-    nodes.push(BNode { axis: axis as u32, a: right_at, b: 0, split });
+    nodes.push(BNode { axis: axis as u32, a: right_at, b: 0, soa_at: 0, split });
     nodes.extend(left.into_iter().map(|mut n| {
         if !n.is_leaf() {
             n.a += 1;
@@ -1189,8 +1237,8 @@ mod tests {
     }
 
     #[test]
-    fn build_config_from_env_parses_threads() {
-        // no env set in tests: default is auto
+    fn build_config_threads_and_fork_budget() {
+        // default is auto
         assert_eq!(BuildConfig::default().threads, 0);
         assert!(BuildConfig::default().effective_threads() >= 1);
         assert_eq!(BuildConfig::default().with_threads(1).fork_budget(), 0);
@@ -1203,24 +1251,63 @@ mod tests {
     fn soa_mirror_transposes_every_leaf() {
         let ds = scatter_dataset(1500);
         let d = ds.dim();
-        for threads in [1, 4] {
-            let cfg = BuildConfig::default().with_bucket_size(8).with_threads(threads);
+        for (threads, lanes) in [(1, 8), (4, 8), (1, 4), (4, 16), (3, 5)] {
+            let cfg = BuildConfig::default()
+                .with_bucket_size(13)
+                .with_threads(threads)
+                .with_kernel(KernelConfig { lanes, ..KernelConfig::default() });
             let t = BkdTree::build_with_config(ds.clone(), Metric::Euclidean, cfg);
             assert_eq!(t.kernel_config().layout, KernelLayout::Lanes);
-            let mut covered = 0usize;
+            let lanes = t.kernel_config().lanes;
+            assert!(crate::kernel::LANE_WIDTHS.contains(&lanes), "lane width is normalized");
+            let (mut covered, mut padded) = (0usize, 0usize);
             for (start, end) in t.leaf_ranges() {
                 assert_eq!(start, covered, "leaves tile [0, n) in node order");
                 covered = end;
                 let rows = end - start;
                 let block = t.leaf_coords(start, end);
-                let soa = t.leaf_soa(start, end).expect("lanes layout keeps an SoA mirror");
-                for i in 0..rows {
-                    for k in 0..d {
-                        assert_eq!(block[i * d + k].to_bits(), soa[k * rows + i].to_bits());
+                let (soa, stride) =
+                    t.leaf_soa(start, end).expect("lanes layout keeps an SoA mirror");
+                assert_eq!(stride, rows.next_multiple_of(lanes), "rows {rows} lanes {lanes}");
+                assert_eq!(soa.len(), stride * d);
+                // padded blocks tile the mirror in leaf order
+                assert_eq!(soa.as_ptr(), t.soa[padded * d..].as_ptr());
+                padded += stride;
+                for k in 0..d {
+                    for i in 0..rows {
+                        assert_eq!(block[i * d + k].to_bits(), soa[k * stride + i].to_bits());
                     }
+                    assert!(soa[k * stride + rows..(k + 1) * stride].iter().all(|&v| v == 0.0));
                 }
             }
             assert_eq!(covered, ds.len());
+            assert_eq!(t.soa.len(), padded * d);
+            assert!(t.leaf_soa(0, 1).is_none(), "[0, 1) is not a leaf of a 1500-point tree");
+        }
+    }
+
+    #[test]
+    fn broadcast_bytes_are_layout_invariant_and_size_counts_padding() {
+        let ds = scatter_dataset(1000);
+        let build = |kernel: KernelConfig| {
+            let cfg = BuildConfig::default().with_kernel(kernel);
+            BkdTree::build_with_config(ds.clone(), Metric::Euclidean, cfg)
+        };
+        let scalar = build(KernelConfig::scalar());
+        assert!(scalar.soa.is_empty());
+        for lanes in crate::kernel::LANE_WIDTHS {
+            let t = build(KernelConfig::default().with_lanes(lanes));
+            // BroadcastCreate ships `shipped_bytes`: equal across layouts
+            // and lane widths, so traces are too
+            assert_eq!(t.shipped_bytes(), scalar.shipped_bytes(), "lanes={lanes}");
+            let padded_rows: usize =
+                t.leaf_ranges().iter().map(|&(s, e)| (e - s).next_multiple_of(lanes)).sum();
+            assert!(padded_rows > ds.len(), "bucket 16 leaves leave padding at {lanes} lanes");
+            assert_eq!(
+                t.size_bytes(),
+                scalar.size_bytes() + padded_rows * ds.dim() * std::mem::size_of::<f64>(),
+                "size_bytes counts the padded mirror, padding included"
+            );
         }
     }
 

@@ -14,13 +14,22 @@
 //! ([`scan_block_soa`]): it scans a leaf block stored dimension-major
 //! (all `x`s, then all `y`s, …), accumulating a whole group of `LANES`
 //! points into a fixed-width `[f64; LANES]` stack buffer that LLVM
-//! auto-vectorizes on stable. One lane per
-//! point: each point's per-dimension sum runs in the exact sequential
-//! coordinate order of the scalar kernels, so every distance is the
-//! same `f64` bit for bit — vectorization happens *across* points,
-//! never inside one point's accumulation. The threshold test is a
-//! branch-free pass packing hit indices left, so dense and sparse
-//! blocks cost the same per row.
+//! auto-vectorizes on stable, or into explicit AVX2 / AVX-512
+//! registers when the host has them (picked once per block). One lane
+//! per point: each point's per-dimension sum runs in the exact
+//! sequential coordinate order of the scalar kernels, so every distance
+//! is the same `f64` bit for bit — vectorization happens *across*
+//! points, never inside one point's accumulation. The threshold test is
+//! a branch-free compare-to-bitmask, so dense and sparse blocks cost
+//! the same per row.
+//!
+//! **Padded blocks, masked tails.** SoA columns have a stride of the
+//! row count rounded up to the lane width, so a scan is whole lane
+//! groups with no scalar remainder loop. The last group's hit mask is
+//! ANDed with `(1 << real_rows) - 1`, so a pad row is never reported
+//! whatever it holds; sentinel values would not do — `f64::max` ignores
+//! NaN in the Chebyshev kernel, and ±inf passes the test at `eps = inf`.
+//! [`KernelCounters::rows_scanned`] counts real rows only.
 //!
 //! Two invariants make the kernels safe to wire everywhere:
 //!
@@ -28,9 +37,9 @@
 //!   paths accumulate in the same coordinate order, so every distance
 //!   is the exact same `f64` — all paths return byte-identical
 //!   neighborhoods (property-tested in `tests/proptest_kernels.rs`).
-//!   The AVX2 specialization vectorizes only *across* points with the
-//!   same per-lane IEEE ops (`vsubpd`/`vmulpd`/`vaddpd`, never an FMA
-//!   contraction), so it is covered by the same guarantee.
+//!   The AVX2 and AVX-512 group masks vectorize only *across* points
+//!   with the same per-lane IEEE ops (`vsubpd`/`vmulpd`/`vaddpd`, never
+//!   an FMA contraction), so they are covered by the same guarantee.
 //! * **Same early-exit semantics.** [`scan_block`] and
 //!   [`scan_block_soa`] report matches through a callback that can stop
 //!   the scan, row by row in row order, so pruned queries
@@ -112,7 +121,8 @@ impl KernelConfig {
     /// The pure core of [`KernelConfig::from_env`], taking the raw
     /// variable values so tests can exercise the parsing contract
     /// without touching the process environment. Never panics, never
-    /// errors: junk keeps the default for that knob.
+    /// errors: junk keeps the default for that knob. The lane width is
+    /// parsed by [`parse_env_uint`], so `+4` is junk too.
     pub fn from_env_values(layout: Option<&str>, lanes: Option<&str>) -> Self {
         let mut cfg = Self::default();
         match layout.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
@@ -120,11 +130,24 @@ impl KernelConfig {
             Some("lanes") => cfg.layout = KernelLayout::Lanes,
             _ => {}
         }
-        if let Some(l) = lanes.and_then(|v| v.trim().parse::<usize>().ok()) {
+        if let Some(l) = lanes.and_then(parse_env_uint::<usize>) {
             cfg.lanes = normalized_lanes(l);
         }
         cfg
     }
+}
+
+/// Strict digit-only unsigned parsing for `DBSCAN_*` environment values:
+/// optional surrounding whitespace around a non-empty run of ASCII
+/// digits, nothing else. Rejects the leading `+` that integer `FromStr`
+/// accepts: an environment variable carrying `+8` is far likelier a
+/// templating bug than an intentional sign.
+pub fn parse_env_uint<T: std::str::FromStr>(v: &str) -> Option<T> {
+    let t = v.trim();
+    if t.is_empty() || !t.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    t.parse::<T>().ok()
 }
 
 /// Snap an arbitrary lane request to the nearest monomorphized width.
@@ -148,7 +171,8 @@ fn normalized_lanes(lanes: usize) -> usize {
 pub struct KernelCounters {
     /// Leaf blocks scanned (one per leaf per query touching it).
     pub blocks_scanned: u64,
-    /// Rows held by the scanned blocks.
+    /// Rows held by the scanned blocks (real rows; SoA padding is not
+    /// counted).
     pub rows_scanned: u64,
     /// Rows reported within the query threshold.
     pub range_hits: u64,
@@ -272,14 +296,18 @@ fn scan_rows<const D: usize, G: Fn(&[f64; D]) -> f64, F: FnMut(usize) -> bool>(
 
 // ---- lane-blocked SoA kernels ------------------------------------------
 
-/// Scan a dimension-major (SoA) coordinate block of `rows` points
-/// (`soa[k * rows + i]` = coordinate `k` of point `i`,
-/// `soa.len() == rows * dim`), invoking `on_match(i)` for every row
-/// within `thr`, **in row order** — the same callback sequence, stops
-/// included, as [`scan_block`] over the row-major transpose of the
-/// block. Distances are bit-identical to the scalar path: lanes run
-/// across points, each point still accumulates coordinate `0..dim`
-/// sequentially.
+/// Scan a padded dimension-major (SoA) block of `rows` points, invoking
+/// `on_match(i)` for every row within `thr`, **in row order** — the same
+/// callback sequence, stops included, as [`scan_block`] over the
+/// row-major transpose of the block. Coordinate `k` of point `i` sits at
+/// `soa[k * stride + i]`; `stride` must be at least `rows` rounded up to
+/// the (normalized) lane width and `soa` must hold `dim * stride`
+/// values. Rows `rows..stride` are padding, masked out of the hits, so
+/// their contents never matter.
+///
+/// # Panics
+///
+/// If the block is smaller than `stride` and `rows` require.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn scan_block_soa<F: FnMut(usize) -> bool>(
@@ -287,69 +315,119 @@ pub fn scan_block_soa<F: FnMut(usize) -> bool>(
     dim: usize,
     query: &[f64],
     soa: &[f64],
+    stride: usize,
     rows: usize,
     thr: f64,
     lanes: usize,
     on_match: F,
 ) -> bool {
-    debug_assert_eq!(soa.len(), rows * dim);
     if rows == 0 || dim == 0 {
         return true;
     }
+    let b = SoaBlock { metric, dim, query, soa, stride, thr };
     match normalized_lanes(lanes) {
-        4 => scan_soa_dispatch::<4, F>(metric, dim, query, soa, rows, thr, on_match),
-        16 => scan_soa_dispatch::<16, F>(metric, dim, query, soa, rows, thr, on_match),
-        _ => scan_soa_dispatch::<8, F>(metric, dim, query, soa, rows, thr, on_match),
+        4 => scan_soa_groups::<4, F>(b, rows, on_match),
+        16 => scan_soa_groups::<16, F>(b, rows, on_match),
+        _ => scan_soa_groups::<8, F>(b, rows, on_match),
     }
 }
 
-/// Pick the widest ISA the host supports at runtime. The AVX2 twin
-/// computes each group's threshold mask with explicit 256-bit
-/// intrinsics ([`group_mask_avx2`]) — the per-lane operations are the
-/// exact IEEE ops of the portable body in the same order, so every bit
-/// of every distance is identical to the portable build.
-#[inline]
-fn scan_soa_dispatch<const L: usize, F: FnMut(usize) -> bool>(
+/// One padded SoA block under one query: everything a lane group's
+/// mask needs except the group's first row.
+#[derive(Clone, Copy)]
+struct SoaBlock<'a> {
     metric: Metric,
     dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
+    query: &'a [f64],
+    soa: &'a [f64],
+    stride: usize,
     thr: f64,
+}
+
+/// Check the padded block once, then pick the widest group-mask kernel
+/// the host supports (all are bit-identical). Each ISA runs the same
+/// [`scan_groups`] loop inside a `#[target_feature]` function, so the
+/// mask inlines. The mask closures are `move`: by reference, LLVM
+/// reloaded the block's fields on every group, visibly slower.
+#[inline(always)]
+fn scan_soa_groups<const L: usize, F: FnMut(usize) -> bool>(
+    b: SoaBlock,
+    rows: usize,
     on_match: F,
 ) -> bool {
+    assert!(
+        rows.checked_next_multiple_of(L).is_some_and(|padded| padded <= b.stride)
+            && b.dim.checked_mul(b.stride).is_some_and(|len| len <= b.soa.len()),
+        "SoA block of {} values cannot hold {rows} rows at stride {} x {} dims",
+        b.soa.len(),
+        b.stride,
+        b.dim
+    );
     #[cfg(target_arch = "x86_64")]
     {
         if L >= 8 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the avx512f feature was just detected on this CPU.
-            return unsafe {
-                scan_soa_lanes_avx512::<L, F>(metric, dim, query, soa, rows, thr, on_match)
-            };
+            // SAFETY: avx512f was just detected on this CPU, and the
+            // assert above is the block-size contract.
+            return unsafe { scan_groups_avx512::<L, F>(b, rows, on_match) };
         }
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 feature was just detected on this CPU.
-            return unsafe {
-                scan_soa_lanes_avx2::<L, F>(metric, dim, query, soa, rows, thr, on_match)
-            };
+            // SAFETY: as above, for avx2.
+            return unsafe { scan_groups_avx2::<L, F>(b, rows, on_match) };
         }
     }
-    scan_soa_lanes::<L, F>(metric, dim, query, soa, rows, thr, on_match)
+    scan_groups::<L, _, F>(rows, move |base| group_mask_portable::<L>(b, base), on_match)
 }
 
+/// [`scan_groups`] over [`group_mask_avx512`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `b.soa` must hold `b.dim`
+/// columns of stride `b.stride >= rows.next_multiple_of(L)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn scan_groups_avx512<const L: usize, F: FnMut(usize) -> bool>(
+    b: SoaBlock,
+    rows: usize,
+    on_match: F,
+) -> bool {
+    // SAFETY: the CPU has avx512f (this function's contract), and
+    // `scan_groups` only asks for groups with base % L == 0 and
+    // base < rows, so base + L <= stride.
+    scan_groups::<L, _, F>(rows, move |base| unsafe { group_mask_avx512::<L>(b, base) }, on_match)
+}
+
+/// [`scan_groups`] over [`group_mask_avx2`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `b.soa` must hold `b.dim` columns of
+/// stride `b.stride >= rows.next_multiple_of(L)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scan_soa_lanes_avx2<const L: usize, F: FnMut(usize) -> bool>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
+unsafe fn scan_groups_avx2<const L: usize, F: FnMut(usize) -> bool>(
+    b: SoaBlock,
     rows: usize,
-    thr: f64,
+    on_match: F,
+) -> bool {
+    // SAFETY: as in `scan_groups_avx512`, for avx2.
+    scan_groups::<L, _, F>(rows, move |base| unsafe { group_mask_avx2::<L>(b, base) }, on_match)
+}
+
+/// The one lane-group loop: full groups only, the last group's mask cut
+/// to the rows that exist, hits reported in row order via
+/// `trailing_zeros` — the usual all-zero mask skips the emission loop.
+#[inline(always)]
+fn scan_groups<const L: usize, M: Fn(usize) -> u32, F: FnMut(usize) -> bool>(
+    rows: usize,
+    group_mask: M,
     mut on_match: F,
 ) -> bool {
     let mut base = 0usize;
-    while base + L <= rows {
-        let mut mask = unsafe { group_mask_avx2::<L>(metric, dim, query, soa, rows, base, thr) };
+    while base < rows {
+        let live = (rows - base).min(L);
+        // padding rows are never reported, whatever they hold
+        let mut mask = group_mask(base) & ((1u32 << live) - 1);
         while mask != 0 {
             let j = mask.trailing_zeros() as usize;
             if !on_match(base + j) {
@@ -359,51 +437,55 @@ unsafe fn scan_soa_lanes_avx2<const L: usize, F: FnMut(usize) -> bool>(
         }
         base += L;
     }
-    for i in base..rows {
-        if reduced_soa_point(metric, dim, query, soa, rows, i) <= thr && !on_match(i) {
-            return false;
-        }
-    }
     true
 }
 
-/// Within-threshold bitmask of one full lane group, 256 bits at a time:
-/// explicit `vsubpd`/`vmulpd`/`vaddpd` (and `vandpd` abs / `vmaxpd`)
-/// followed by `vcmppd LE_OQ` + `vmovmskpd`. Each instruction is the
-/// per-lane IEEE operation of the scalar kernel — multiply and add stay
-/// separate (no FMA contraction) and the accumulation still runs
-/// coordinates in ascending order — so every lane's distance, and hence
-/// the mask, is bit-identical to the portable path for the finite
-/// coordinates datasets hold.
+/// Within-threshold bitmask of the `L`-point group at row `base` (bit
+/// `j` set iff point `base + j` is within `thr`): [`group_distances`]
+/// plus a branch-free compare LLVM lowers to a vector compare + movemask.
+#[inline(always)]
+fn group_mask_portable<const L: usize>(b: SoaBlock, base: usize) -> u32 {
+    let acc = group_distances::<L>(b, base);
+    let mut mask = 0u32;
+    for (j, &a) in acc.iter().enumerate() {
+        mask |= u32::from(a <= b.thr) << j;
+    }
+    mask
+}
+
+/// [`group_mask_portable`] 256 bits at a time: explicit
+/// `vsubpd`/`vmulpd`/`vaddpd` (and `vandpd` abs / `vmaxpd`), then
+/// `vcmppd LE_OQ` + `vmovmskpd`. Each is the scalar kernel's per-lane
+/// IEEE op (no FMA contraction) in ascending coordinate order, so the
+/// mask is bit-identical to the portable path.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and each of the `b.dim` columns of
+/// `b.soa` must hold rows `base..base + L` (`base + L <= b.stride`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn group_mask_avx2<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    base: usize,
-    thr: f64,
-) -> u32 {
+#[inline]
+unsafe fn group_mask_avx2<const L: usize>(b: SoaBlock, base: usize) -> u32 {
     use std::arch::x86_64::*;
-    debug_assert!(L.is_multiple_of(4) && base + L <= rows);
-    let t = _mm256_set1_pd(thr);
+    debug_assert!(L.is_multiple_of(4) && base + L <= b.stride && b.soa.len() >= b.dim * b.stride);
+    let t = _mm256_set1_pd(b.thr);
     let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
     // coordinate-outer so the query broadcast is paid once per group
     // per dimension; the whole group's accumulators live in registers
     // (L <= 16, so at most four of the sixteen ymm registers)
     let n = L / 4;
     let mut acc = [_mm256_setzero_pd(); 4];
-    for (k, &q) in query.iter().enumerate().take(dim) {
+    for (k, &q) in b.query.iter().enumerate().take(b.dim) {
         let qv = _mm256_set1_pd(q);
-        // SAFETY: k < dim and base + L <= rows, so all L lanes lie
-        // inside column k of the dim-major block.
-        let colp = unsafe { soa.as_ptr().add(k * rows + base) };
+        // SAFETY: k < dim and base + L <= stride (caller contract), so
+        // all L lanes lie inside column k of the block.
+        let colp = unsafe { b.soa.as_ptr().add(k * b.stride + base) };
         for (c, a) in acc.iter_mut().enumerate().take(n) {
+            // SAFETY: c < L / 4, so lanes 4c..4c + 4 lie in the group.
             let col = unsafe { _mm256_loadu_pd(colp.add(4 * c)) };
             let delta = _mm256_sub_pd(qv, col);
-            *a = match metric {
+            *a = match b.metric {
                 Metric::Euclidean => _mm256_add_pd(*a, _mm256_mul_pd(delta, delta)),
                 Metric::Manhattan => _mm256_add_pd(*a, _mm256_and_pd(delta, abs_mask)),
                 Metric::Chebyshev => _mm256_max_pd(*a, _mm256_and_pd(delta, abs_mask)),
@@ -418,37 +500,33 @@ unsafe fn group_mask_avx2<const L: usize>(
     mask
 }
 
-/// [`group_mask_avx2`] at AVX-512 width: the accumulators are zmm
-/// registers (8 lanes each, so `L = 8` is a single register and
-/// `L = 16` two) and the threshold compare lands directly in a mask
-/// register via `vcmppd k, ...`. Per-lane operations are the same IEEE
-/// sub/mul/add (no FMA) in the same coordinate order — bit-identical
-/// to both the portable and the AVX2 paths.
+/// [`group_mask_avx2`] at AVX-512 width: zmm accumulators (`L = 8` is
+/// one register, `L = 16` two) and the compare lands in a mask register
+/// via `vcmppd k, ...`. Same per-lane IEEE ops in the same order.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and each of the `b.dim` columns of
+/// `b.soa` must hold rows `base..base + L` (`base + L <= b.stride`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn group_mask_avx512<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    base: usize,
-    thr: f64,
-) -> u32 {
+#[inline]
+unsafe fn group_mask_avx512<const L: usize>(b: SoaBlock, base: usize) -> u32 {
     use std::arch::x86_64::*;
-    debug_assert!(L.is_multiple_of(8) && base + L <= rows);
-    let t = _mm512_set1_pd(thr);
+    debug_assert!(L.is_multiple_of(8) && base + L <= b.stride && b.soa.len() >= b.dim * b.stride);
+    let t = _mm512_set1_pd(b.thr);
     let n = L / 8;
     let mut acc = [_mm512_setzero_pd(); 2];
-    for (k, &q) in query.iter().enumerate().take(dim) {
+    for (k, &q) in b.query.iter().enumerate().take(b.dim) {
         let qv = _mm512_set1_pd(q);
-        // SAFETY: k < dim and base + L <= rows, so all L lanes lie
-        // inside column k of the dim-major block.
-        let colp = unsafe { soa.as_ptr().add(k * rows + base) };
+        // SAFETY: k < dim and base + L <= stride (caller contract), so
+        // all L lanes lie inside column k of the block.
+        let colp = unsafe { b.soa.as_ptr().add(k * b.stride + base) };
         for (c, a) in acc.iter_mut().enumerate().take(n) {
+            // SAFETY: c < L / 8, so lanes 8c..8c + 8 lie in the group.
             let col = unsafe { _mm512_loadu_pd(colp.add(8 * c)) };
             let delta = _mm512_sub_pd(qv, col);
-            *a = match metric {
+            *a = match b.metric {
                 Metric::Euclidean => _mm512_add_pd(*a, _mm512_mul_pd(delta, delta)),
                 Metric::Manhattan => _mm512_add_pd(*a, _mm512_abs_pd(delta)),
                 Metric::Chebyshev => _mm512_max_pd(*a, _mm512_abs_pd(delta)),
@@ -462,95 +540,22 @@ unsafe fn group_mask_avx512<const L: usize>(
     mask
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn scan_soa_lanes_avx512<const L: usize, F: FnMut(usize) -> bool>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    mut on_match: F,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let mut mask = unsafe { group_mask_avx512::<L>(metric, dim, query, soa, rows, base, thr) };
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            if !on_match(base + j) {
-                return false;
-            }
-            mask &= mask - 1;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        if reduced_soa_point(metric, dim, query, soa, rows, i) <= thr && !on_match(i) {
-            return false;
-        }
-    }
-    true
-}
-
-#[inline(always)]
-fn scan_soa_lanes<const L: usize, F: FnMut(usize) -> bool>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    thr: f64,
-    mut on_match: F,
-) -> bool {
-    let mut base = 0usize;
-    while base + L <= rows {
-        let acc = group_distances::<L>(metric, dim, query, soa, rows, base);
-        // branch-free threshold pass: one compare bit per lane (LLVM
-        // lowers the reduction to a vector compare + movemask), then
-        // report set bits in row order — the usual all-zero mask skips
-        // the emission loop entirely
-        let mut mask = 0u32;
-        for (j, &a) in acc.iter().enumerate() {
-            mask |= u32::from(a <= thr) << j;
-        }
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            if !on_match(base + j) {
-                return false;
-            }
-            mask &= mask - 1;
-        }
-        base += L;
-    }
-    for i in base..rows {
-        if reduced_soa_point(metric, dim, query, soa, rows, i) <= thr && !on_match(i) {
-            return false;
-        }
-    }
-    true
-}
-
 /// Reduced distances of one full lane group, one lane per point. The
 /// outer loop runs coordinates in ascending order, so each lane's
 /// accumulation order matches the scalar kernels exactly; the inner
 /// `0..L` loop over a length-proven column slice is what LLVM turns
 /// into vector code.
 #[inline(always)]
-fn group_distances<const L: usize>(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    base: usize,
-) -> [f64; L] {
+fn group_distances<const L: usize>(b: SoaBlock, base: usize) -> [f64; L] {
     let mut acc = [0.0f64; L];
-    match metric {
+    let column = |k: usize| -> &[f64; L] {
+        b.soa[k * b.stride + base..k * b.stride + base + L].try_into().expect("full lane group")
+    };
+    let coords = b.query.iter().enumerate().take(b.dim);
+    match b.metric {
         Metric::Euclidean => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                let col: &[f64; L] =
-                    soa[k * rows + base..k * rows + base + L].try_into().expect("full lane group");
+            for (k, &q) in coords {
+                let col = column(k);
                 for j in 0..L {
                     let delta = q - col[j];
                     acc[j] += delta * delta;
@@ -558,18 +563,16 @@ fn group_distances<const L: usize>(
             }
         }
         Metric::Manhattan => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                let col: &[f64; L] =
-                    soa[k * rows + base..k * rows + base + L].try_into().expect("full lane group");
+            for (k, &q) in coords {
+                let col = column(k);
                 for j in 0..L {
                     acc[j] += (q - col[j]).abs();
                 }
             }
         }
         Metric::Chebyshev => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                let col: &[f64; L] =
-                    soa[k * rows + base..k * rows + base + L].try_into().expect("full lane group");
+            for (k, &q) in coords {
+                let col = column(k);
                 for j in 0..L {
                     acc[j] = f64::max(acc[j], (q - col[j]).abs());
                 }
@@ -579,52 +582,19 @@ fn group_distances<const L: usize>(
     acc
 }
 
-/// Reduced distance of one point of a dimension-major block (the
-/// remainder rows after the last full lane group). Same coordinate
-/// order as the scalar kernels.
-#[inline(always)]
-fn reduced_soa_point(
-    metric: Metric,
-    dim: usize,
-    query: &[f64],
-    soa: &[f64],
-    rows: usize,
-    i: usize,
-) -> f64 {
-    let mut acc = 0.0f64;
-    match metric {
-        Metric::Euclidean => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                let delta = q - soa[k * rows + i];
-                acc += delta * delta;
-            }
-        }
-        Metric::Manhattan => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                acc += (q - soa[k * rows + i]).abs();
-            }
-        }
-        Metric::Chebyshev => {
-            for (k, &q) in query.iter().enumerate().take(dim) {
-                acc = f64::max(acc, (q - soa[k * rows + i]).abs());
-            }
-        }
-    }
-    acc
-}
-
-/// Transpose one row-major block into dimension-major (SoA) order:
-/// `out[k * rows + i] = block[i * dim + k]`. The inverse of the gather
-/// the SoA kernels perform; `out.len() == block.len()`.
-pub fn transpose_block(block: &[f64], dim: usize, out: &mut [f64]) {
-    debug_assert_eq!(block.len(), out.len());
+/// Transpose one row-major block into dimension-major (SoA) order with
+/// column stride `stride`: `out[k * stride + i] = block[i * dim + k]`.
+/// The inverse of the gather the SoA kernels perform; slots
+/// `rows..stride` of each column are left as they are (padding).
+/// `stride >= block.len() / dim` and `out.len() >= dim * stride`.
+pub fn transpose_block(block: &[f64], dim: usize, stride: usize, out: &mut [f64]) {
     if dim == 0 {
         return;
     }
-    let rows = block.len() / dim;
+    debug_assert!(block.len() / dim <= stride && out.len() >= dim * stride);
     for (i, row) in block.chunks_exact(dim).enumerate() {
         for (k, &v) in row.iter().enumerate() {
-            out[k * rows + i] = v;
+            out[k * stride + i] = v;
         }
     }
 }
@@ -704,9 +674,12 @@ mod tests {
         (0..dim * rows).map(|i| ((i as f64) * 7.31).sin() * 40.0).collect()
     }
 
-    fn soa_of(block: &[f64], dim: usize) -> Vec<f64> {
-        let mut out = vec![0.0; block.len()];
-        transpose_block(block, dim, &mut out);
+    /// Padded SoA copy of `block` at column stride `stride`; the padding
+    /// holds NaN, which every lane of a real row would reject anyway —
+    /// the property tests fill it with hits instead.
+    fn soa_of(block: &[f64], dim: usize, stride: usize) -> Vec<f64> {
+        let mut out = vec![f64::NAN; dim * stride];
+        transpose_block(block, dim, stride, &mut out);
         out
     }
 
@@ -751,20 +724,21 @@ mod tests {
     #[test]
     fn soa_scan_matches_row_major_scan() {
         for dim in 1..=8 {
-            // rows chosen to leave a remainder group at every lane width
+            // rows chosen to leave a partial last group at every lane width
             let data = block(dim, 43);
-            let soa = soa_of(&data, dim);
             let q: Vec<f64> = (0..dim).map(|k| (k as f64) * 1.3).collect();
-            for m in METRICS {
-                for thr in [0.0, 10.0, 1000.0, f64::INFINITY] {
-                    for lanes in LANE_WIDTHS {
+            for lanes in LANE_WIDTHS {
+                let stride = 43usize.next_multiple_of(lanes);
+                let soa = soa_of(&data, dim, stride);
+                for m in METRICS {
+                    for thr in [0.0, 10.0, 1000.0, f64::INFINITY] {
                         let mut row_major = Vec::new();
                         let mut lane = Vec::new();
                         assert!(scan_block(m, dim, &q, &data, thr, |i| {
                             row_major.push(i);
                             true
                         }));
-                        assert!(scan_block_soa(m, dim, &q, &soa, 43, thr, lanes, |i| {
+                        assert!(scan_block_soa(m, dim, &q, &soa, stride, 43, thr, lanes, |i| {
                             lane.push(i);
                             true
                         }));
@@ -781,9 +755,9 @@ mod tests {
     #[test]
     fn soa_scan_early_exit_matches_row_major() {
         let data = block(3, 100);
-        let soa = soa_of(&data, 3);
+        let soa = soa_of(&data, 3, 112);
         let q = [0.0, 0.0, 0.0];
-        for cap in [1usize, 3, 7] {
+        for cap in [1usize, 3, 7, 99] {
             let run = |soa_path: bool| {
                 let mut hits = Vec::new();
                 let cb = |i: usize| {
@@ -791,7 +765,7 @@ mod tests {
                     hits.len() < cap
                 };
                 let finished = if soa_path {
-                    scan_block_soa(Metric::Euclidean, 3, &q, &soa, 100, f64::INFINITY, 8, cb)
+                    scan_block_soa(Metric::Euclidean, 3, &q, &soa, 112, 100, f64::INFINITY, 16, cb)
                 } else {
                     scan_block(Metric::Euclidean, 3, &q, &data, f64::INFINITY, cb)
                 };
@@ -802,16 +776,34 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot hold")]
+    fn soa_scan_rejects_an_unpadded_block() {
+        let data = block(2, 13);
+        let soa = soa_of(&data, 2, 13);
+        scan_block_soa(Metric::Euclidean, 2, &[0.0, 0.0], &soa, 13, 13, 1.0, 8, |_| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold")]
+    fn soa_scan_rejects_a_stride_that_overflows() {
+        let soa = vec![0.0; 64];
+        let stride = usize::MAX / 2 + 1;
+        scan_block_soa(Metric::Euclidean, 2, &[0.0, 0.0], &soa, stride, 13, 1.0, 8, |_| true);
+    }
+
+    #[test]
     fn transpose_round_trips_losslessly() {
         for dim in 1..=6 {
             let data = block(dim, 29);
-            let soa = soa_of(&data, dim);
-            let rows = 29;
+            let stride = 32;
+            let soa = soa_of(&data, dim, stride);
             for (i, row) in data.chunks_exact(dim).enumerate() {
                 for (k, &v) in row.iter().enumerate() {
-                    assert_eq!(v.to_bits(), soa[k * rows + i].to_bits());
+                    assert_eq!(v.to_bits(), soa[k * stride + i].to_bits());
                 }
             }
+            // padding slots are left untouched
+            assert!(soa[29..stride].iter().all(|v| v.is_nan()));
         }
     }
 
@@ -832,7 +824,7 @@ mod tests {
         for dim in [1, 2, 3, 4, 5, 6, 7] {
             let q = vec![0.0; dim];
             assert!(scan_block(Metric::Euclidean, dim, &q, &[], 1.0, |_| panic!("no rows")));
-            assert!(scan_block_soa(Metric::Euclidean, dim, &q, &[], 0, 1.0, 8, |_| panic!(
+            assert!(scan_block_soa(Metric::Euclidean, dim, &q, &[], 0, 0, 1.0, 8, |_| panic!(
                 "no rows"
             )));
         }
@@ -859,6 +851,12 @@ mod tests {
         assert_eq!(j, d);
         assert_eq!(KernelConfig::from_env_values(None, Some("99")).lanes, 16);
         assert_eq!(KernelConfig::from_env_values(None, Some("1")).lanes, 4);
+        // strict digit-only parsing, shared with the other DBSCAN_* integers
+        assert_eq!(KernelConfig::from_env_values(None, Some(" 4 ")).lanes, 4);
+        for junk in ["+4", "-1", "", "4.0", "0x10"] {
+            assert_eq!(KernelConfig::from_env_values(None, Some(junk)), d, "{junk:?}");
+        }
+        assert_eq!(KernelConfig::from_env_values(None, Some(" 8 ")), d);
         assert_eq!(KernelConfig::scalar().layout, KernelLayout::Scalar);
     }
 

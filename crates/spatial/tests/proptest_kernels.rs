@@ -124,54 +124,68 @@ proptest! {
     }
 
     /// SoA transposition is lossless: every coordinate lands at its
-    /// dimension-major slot with identical bits, and transposing back
-    /// reproduces the row-major block exactly.
+    /// dimension-major slot of a padded block with identical bits, the
+    /// padding is left alone, and transposing back reproduces the
+    /// row-major block exactly.
     #[test]
     fn soa_transpose_round_trips_losslessly(
         dim in 1usize..=6,
         seed_rows in dataset_strategy(6),
+        pad in 0usize..16,
     ) {
         let block: Vec<f64> =
             seed_rows.iter().flat_map(|r| r[..dim].iter().copied()).collect();
         let rows = block.len() / dim;
-        let mut soa = vec![0.0f64; block.len()];
-        transpose_block(&block, dim, &mut soa);
+        let stride = rows + pad;
+        let mut soa = vec![f64::NAN; dim * stride];
+        transpose_block(&block, dim, stride, &mut soa);
+        for k in 0..dim {
+            for i in 0..rows {
+                prop_assert_eq!(block[i * dim + k].to_bits(), soa[k * stride + i].to_bits());
+            }
+            prop_assert!(soa[k * stride + rows..(k + 1) * stride].iter().all(|v| v.is_nan()));
+        }
+        // round trip: the SoA block viewed as a stride-per-"row" matrix
+        // transposes back to the original (padding columns dropped)
+        let mut back = vec![0.0f64; stride * dim];
+        transpose_block(&soa, stride, dim, &mut back);
         for i in 0..rows {
             for k in 0..dim {
-                prop_assert_eq!(block[i * dim + k].to_bits(), soa[k * rows + i].to_bits());
+                prop_assert_eq!(block[i * dim + k].to_bits(), back[i * dim + k].to_bits());
             }
         }
-        // round trip: the SoA block viewed as a rows-per-"row" matrix
-        // transposes back to the original
-        let mut back = vec![0.0f64; block.len()];
-        transpose_block(&soa, rows, &mut back);
-        for (a, b) in block.iter().zip(&back) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
+}
 
-    /// The lane-blocked SoA scan reports exactly the rows the scalar
-    /// scan reports, in the same order, for every dim, metric and lane
-    /// width — including the early-exit row when the callback stops.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The padded lane-blocked SoA scan reports exactly the rows the
+    /// scalar scan reports, in the same order, for every metric and
+    /// lane width — including the early-exit row when the callback
+    /// stops. `rows` covers every remainder of 4, 8 and 16 lanes and
+    /// `dim` reaches the generic `d > 6` path. Each padding slot holds
+    /// the query's own coordinate, so a pad row that escaped the mask
+    /// would be a hit at distance 0; rows flagged in `dups` are copies
+    /// of the query too, so the partial last group has hits to stop in.
     #[test]
     fn soa_scan_is_bit_identical_to_scalar(
-        dim in 1usize..=6,
-        seed_rows in dataset_strategy(6),
-        q6 in prop::collection::vec(-60.0f64..60.0, 6..=6),
+        dim in 1usize..=12,
+        rows in 0usize..=48,
+        coords in prop::collection::vec(-50.0f64..50.0, 48 * 12),
+        q12 in prop::collection::vec(-60.0f64..60.0, 12..=12),
+        dups in any::<u64>(),
         eps in 0.0f64..60.0,
-        metric_idx in 0usize..3,
         cap_raw in 0usize..8,
     ) {
-        let cap = (cap_raw > 0).then_some(cap_raw);
-        let metric = METRICS[metric_idx];
-        let block: Vec<f64> =
-            seed_rows.iter().flat_map(|r| r[..dim].iter().copied()).collect();
-        let rows = block.len() / dim;
-        let mut soa = vec![0.0f64; block.len()];
-        transpose_block(&block, dim, &mut soa);
-        let q = &q6[..dim];
-        let thr = metric.threshold(eps);
-        let scalar = {
+        let q = &q12[..dim];
+        let block: Vec<f64> = (0..rows)
+            .flat_map(|i| {
+                let row = &coords[i * dim..(i + 1) * dim];
+                if dups >> i & 1 == 1 { q } else { row }.iter().copied()
+            })
+            .collect();
+        let scalar_scan = |metric: Metric, thr: f64, cap: Option<usize>| {
             let mut hits = Vec::new();
             let finished = scan_block(metric, dim, q, &block, thr, |i| {
                 hits.push(i);
@@ -179,13 +193,41 @@ proptest! {
             });
             (finished, hits)
         };
-        for lanes in LANE_WIDTHS {
-            let mut hits = Vec::new();
-            let finished = scan_block_soa(metric, dim, q, &soa, rows, thr, lanes, |i| {
-                hits.push(i);
-                cap.is_none_or(|c| hits.len() < c)
-            });
-            prop_assert_eq!(&(finished, hits), &scalar, "lanes={}", lanes);
+        for metric in METRICS {
+            let thr = metric.threshold(eps);
+            let all_hits = scalar_scan(metric, thr, None).1;
+            for lanes in LANE_WIDTHS {
+                let stride = rows.next_multiple_of(lanes);
+                let mut soa = vec![0.0f64; dim * stride];
+                for (k, &qk) in q.iter().enumerate() {
+                    soa[k * stride..(k + 1) * stride].fill(qk);
+                }
+                transpose_block(&block, dim, stride, &mut soa);
+                // a random cap, and a cap that stops on the first hit
+                // inside the partial last group (when it has one)
+                let tail = rows / lanes * lanes;
+                let tail_cap = all_hits
+                    .iter()
+                    .position(|&i| i >= tail)
+                    .filter(|_| rows % lanes != 0)
+                    .map(|before| before + 1);
+                for cap in [None, (cap_raw > 0).then_some(cap_raw), tail_cap] {
+                    let mut hits = Vec::new();
+                    let finished =
+                        scan_block_soa(metric, dim, q, &soa, stride, rows, thr, lanes, |i| {
+                            hits.push(i);
+                            cap.is_none_or(|c| hits.len() < c)
+                        });
+                    prop_assert_eq!(
+                        &(finished, hits),
+                        &scalar_scan(metric, thr, cap),
+                        "metric={:?} lanes={} cap={:?}",
+                        metric,
+                        lanes,
+                        cap
+                    );
+                }
+            }
         }
     }
 }
