@@ -3,14 +3,17 @@
 //! pattern DBSCAN actually performs — one eps-range query from every
 //! dataset point.
 //!
-//! Reports build time, total/per-query range time, and index size, and
-//! writes `results/ablation_a2_bkd_vs_kd.json`.
+//! Reports build time, total/per-query range time, and index size for
+//! the node-per-point tree and the bucketed tree at buckets 16, 32, 64
+//! (the default) and 128, and writes
+//! `results/ablation_a2_bkd_vs_kd.json`.
 //!
 //! Usage: `cargo run --release -p dbscan-bench --bin a2_bkd_vs_kd
 //! [-- --scale small|medium|paper]`
 
 use dbscan_bench::{markdown_table, write_json, Scale};
 use dbscan_datagen::StandardDataset;
+use dbscan_spatial::bkdtree::DEFAULT_BUCKET_SIZE;
 use dbscan_spatial::{BkdTree, KdTree, Metric, QueryScratch, SpatialIndex};
 use serde::Serialize;
 use std::hint::black_box;
@@ -88,8 +91,9 @@ fn main() {
         speedup_vs_kdtree: 1.0,
     });
 
-    // -- bucketed tree across leaf sizes -------------------------------
-    for bucket in [8usize, 16, 32] {
+    // -- bucketed tree across leaf sizes, default (16-lane SoA) kernel:
+    // one lane group per leaf up to eight, around the default of four
+    for bucket in [16usize, 32, DEFAULT_BUCKET_SIZE, 128] {
         let t = Instant::now();
         let bkd = BkdTree::build_with(Arc::clone(&data), Metric::Euclidean, bucket);
         let build = t.elapsed().as_micros();

@@ -643,8 +643,10 @@ fn leaf_scan_row(dim: usize, n: usize, queries: usize) -> LeafScanRow {
         .map(|i| (0..dim).map(|k| (((i * dim + k) as f64) * 0.711).sin() * 500.0).collect())
         .collect();
     let ds = Arc::new(Dataset::from_rows(rows));
-    let cfg = BuildConfig::default().with_bucket_size(64);
-    let (tree, _) = BkdTree::build_with_report(Arc::clone(&ds), Metric::Euclidean, cfg);
+    // the program's own leaf geometry: the default bucket, not a
+    // bench-picked one
+    let (tree, _) =
+        BkdTree::build_with_report(Arc::clone(&ds), Metric::Euclidean, BuildConfig::default());
     let leaves = tree.leaf_ranges();
     let blocks: Vec<(&[f64], usize)> = leaves
         .iter()
@@ -673,20 +675,10 @@ fn leaf_scan_row(dim: usize, n: usize, queries: usize) -> LeafScanRow {
         for q in &qs {
             for (&(s, e), &(soa, stride)) in leaves.iter().zip(&blocks) {
                 let rows = e - s;
-                scan_block_soa(
-                    Metric::Euclidean,
-                    dim,
-                    q,
-                    soa,
-                    stride,
-                    rows,
-                    thr,
-                    DEFAULT_LANES,
-                    |_| {
-                        hits += 1;
-                        true
-                    },
-                );
+                scan_block_soa(Metric::Euclidean, dim, q, soa, stride, rows, thr, |_| {
+                    hits += 1;
+                    true
+                });
             }
         }
         (t.elapsed().as_secs_f64(), hits)
@@ -733,8 +725,9 @@ fn leaf_scan_row(dim: usize, n: usize, queries: usize) -> LeafScanRow {
 /// identity matrix. Exits the process on an identity violation or a
 /// missed throughput floor.
 fn kernel_layout_experiment(out_dir: &str) {
-    // n = 12,500 gives 48–49-row leaves, so most scans end in a
-    // partial (masked) lane group; d = 10 is Table I's c100k/r100k
+    // n = 12,500 at the default bucket gives 48–49-row leaves (a
+    // c100k leaf holds 50), so every scan ends in a partial (masked)
+    // lane group; d = 10 is Table I's c100k/r100k
     let leaf_scan: Vec<LeafScanRow> =
         [2usize, 3, 4, 5, 6, 10].into_iter().map(|d| leaf_scan_row(d, 12_500, 192)).collect();
     let min_speedup_d2_4 =

@@ -17,9 +17,9 @@
 //! | `DBSCAN_BUILD_THREADS` | `build.threads` | driver-phase worker count (`0` = auto) |
 //! | `DBSCAN_MEM_BUDGET` | `memory` | per-executor byte budget (unset = unbounded) |
 //! | `DBSCAN_KERNEL` | `build.kernel.layout` | `scalar` or `lanes` leaf-scan layout |
-//! | `DBSCAN_KERNEL_LANES` | `build.kernel.lanes` | lane width (rounded to 4/8/16) |
 //!
-//! The three integers are parsed by one strict digit-only parser,
+//! The lane kernel has one width (16 points), so there is no lane knob.
+//! The two integers are parsed by one strict digit-only parser,
 //! [`dbscan_spatial::parse_env_uint`]: `+8`, `-1` or an empty value
 //! leaves the default in place.
 //!
@@ -79,10 +79,9 @@ impl Resources {
 
     /// Defaults overlaid with the environment: `DBSCAN_BUILD_THREADS`
     /// sets the build worker count, `DBSCAN_MEM_BUDGET` (bytes) sets a
-    /// bounded per-executor memory budget, and the `DBSCAN_KERNEL` /
-    /// `DBSCAN_KERNEL_LANES` pair (parsed by
-    /// [`dbscan_spatial::KernelConfig::from_env`]) selects the leaf-scan
-    /// kernel. Unset or unparsable variables leave the default in place.
+    /// bounded per-executor memory budget, and `DBSCAN_KERNEL` (parsed
+    /// by [`dbscan_spatial::KernelConfig::from_env`]) selects the
+    /// leaf-scan layout. Unset or unparsable variables leave the default in place.
     pub fn from_env() -> Self {
         let mut r = Self::from_env_values(
             std::env::var("DBSCAN_BUILD_THREADS").ok().as_deref(),
@@ -244,7 +243,7 @@ mod tests {
     #[test]
     fn kernel_config_rides_the_build_config() {
         use dbscan_spatial::{KernelConfig, KernelLayout};
-        let k = KernelConfig::scalar().with_lanes(16);
+        let k = KernelConfig::scalar();
         let r = Resources::new().with_build(BuildConfig::default().with_kernel(k));
         assert_eq!(r.build.kernel, k);
         assert_eq!(r.build.kernel.layout, KernelLayout::Scalar);

@@ -4,9 +4,10 @@
 //! dataset row fetch per visited node. This structure removes both costs:
 //!
 //! * **Leaf buckets**: recursion stops at `bucket_size` points (default
-//!   16). A leaf owns a *contiguous block* of the tree's own coordinate
-//!   array, scanned linearly with [`crate::squared_euclidean`] — the
-//!   branch-free kernel the compiler auto-vectorizes.
+//!   [`DEFAULT_BUCKET_SIZE`] = 64). A leaf owns a *contiguous block* of
+//!   the tree's own coordinate array, mirrored dimension-major and
+//!   scanned 16 points at a time by the lane kernel
+//!   ([`crate::kernel::scan_block_soa`]).
 //! * **Implicit layout**: points are permuted into tree order at build
 //!   time (`ids[pos] = original id`), so the whole traversal touches
 //!   memory front-to-back. Internal nodes store only `(axis, split,
@@ -30,15 +31,22 @@
 use crate::dataset::Dataset;
 use crate::index::SpatialIndex;
 use crate::kdtree::PruneConfig;
-use crate::kernel::{KernelConfig, KernelCounters, KernelLayout};
+use crate::kernel::{KernelConfig, KernelCounters, KernelLayout, DEFAULT_LANES};
 use crate::metric::Metric;
 use crate::point::PointId;
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Leaf capacity used by [`BkdTree::build`].
-pub const DEFAULT_BUCKET_SIZE: usize = 16;
+/// Leaf capacity used by [`BkdTree::build`]: four 16-point lane groups
+/// of the SoA kernel ([`DEFAULT_LANES`]). Median splits halve any node
+/// over 64 points, so in a larger tree every leaf holds 32–64 points (50
+/// on the 102,400-point Table I sets). Each leaf visit pays a fixed cost
+/// (node pop, block lookup, mask dispatch) on top of its rows, so fewer,
+/// fuller leaves win: against 16-point leaves a query visits about a
+/// quarter as many for a few percent more rows (EXPERIMENTS.md, "Leaves
+/// sized for the lane kernel").
+pub const DEFAULT_BUCKET_SIZE: usize = 4 * DEFAULT_LANES;
 
 /// Subtrees at least this large are built on their own scoped thread.
 pub const PAR_CUTOFF: usize = 8 * 1024;
@@ -60,7 +68,7 @@ pub struct BuildConfig {
     /// depends only on the data, never on `threads`.
     pub par_cutoff: usize,
     /// Query-kernel configuration the built tree will scan leaves with
-    /// (data layout, lane width). Like `threads`,
+    /// (data layout). Like `threads`,
     /// every value yields byte-identical query results; under
     /// [`KernelLayout::Lanes`] the build additionally materializes the
     /// dimension-major leaf blocks.
@@ -281,7 +289,7 @@ pub struct BkdTree {
     coords: Vec<f64>,
     /// Padded dimension-major (SoA) copy of each leaf's coordinate
     /// block. A leaf of `rows` points gets column stride
-    /// `stride = rows` rounded up to the lane width and owns
+    /// `stride = rows` rounded up to [`DEFAULT_LANES`] and owns
     /// `soa[soa_at * d..(soa_at + stride) * d]`, with coordinate `k` of
     /// its point `i` at `soa_at * d + k * stride + i`. The `stride - rows`
     /// padding slots per column hold zeros the kernel masks out. Empty
@@ -331,8 +339,8 @@ impl BkdTree {
         let threads = cfg.effective_threads().max(1);
         let n = dataset.len();
         let d = dataset.dim();
-        // snap the lane width once, so the padding and the scans agree
-        let kernel = cfg.kernel.with_lanes(cfg.kernel.lanes);
+        // the lane kernel has one width; the tree reports what it scans at
+        let kernel = KernelConfig { lanes: DEFAULT_LANES, ..cfg.kernel };
         let mut ids: Vec<u32> = (0..n as u32).collect();
         let (mut nodes, mut report) = if n == 0 {
             (Vec::new(), BuildReport::default())
@@ -362,7 +370,7 @@ impl BkdTree {
         // ranges, so the leaf list chunks across the same workers
         let t = Instant::now();
         let soa = if kernel.layout == KernelLayout::Lanes && n > 0 && d > 0 {
-            build_soa(&mut nodes, &coords, d, kernel.lanes, threads)
+            build_soa(&mut nodes, &coords, d, threads)
         } else {
             Vec::new()
         };
@@ -463,11 +471,8 @@ impl BkdTree {
     #[inline]
     fn soa_block(&self, leaf: BNode) -> (&[f64], usize) {
         let d = self.dataset.dim().max(1);
-        // `rows.next_multiple_of(lanes)` without a division on the hot
-        // path: the lane widths are powers of two
-        let lanes = self.kernel.lanes;
-        debug_assert!(lanes.is_power_of_two());
-        let stride = ((leaf.b - leaf.a) as usize + lanes - 1) & !(lanes - 1);
+        // a power-of-two constant: no division on the hot path
+        let stride = ((leaf.b - leaf.a) as usize).next_multiple_of(DEFAULT_LANES);
         let at = leaf.soa_at as usize * d;
         (&self.soa[at..at + stride * d], stride)
     }
@@ -548,7 +553,6 @@ impl BkdTree {
                     stride,
                     end - start,
                     thr,
-                    self.kernel.lanes,
                     on_match,
                 )
             }
@@ -753,19 +757,13 @@ fn gather_coords(ds: &Dataset, ids: &[u32], out: &mut [f64], d: usize) {
 /// the padded ranges then tile the mirror contiguously, so the leaf
 /// list chunks across workers and each worker transposes a disjoint
 /// `soa` slice.
-fn build_soa(
-    nodes: &mut [BNode],
-    coords: &[f64],
-    d: usize,
-    lanes: usize,
-    threads: usize,
-) -> Vec<f64> {
+fn build_soa(nodes: &mut [BNode], coords: &[f64], d: usize, threads: usize) -> Vec<f64> {
     // (start, end, padded offset, stride) per leaf
     let mut leaves: Vec<(usize, usize, usize, usize)> = Vec::new();
     let mut padded = 0usize;
     for node in nodes.iter_mut().filter(|n| n.is_leaf()) {
         let (start, end) = (node.a as usize, node.b as usize);
-        let stride = (end - start).next_multiple_of(lanes);
+        let stride = (end - start).next_multiple_of(DEFAULT_LANES);
         node.soa_at = u32::try_from(padded).expect("padded leaf rows fit the u32 offset");
         leaves.push((start, end, padded, stride));
         padded += stride;
@@ -1051,8 +1049,8 @@ mod tests {
     fn depth_is_logarithmic() {
         let rows = (0..4096).map(|i| vec![i as f64]).collect();
         let t = BkdTree::build(Arc::new(Dataset::from_rows(rows)));
-        // 4096 points / 16-point buckets = 256 leaves -> depth 9
-        assert!(t.depth() <= 10, "depth {} too large", t.depth());
+        // 4096 points / 64-point buckets = 64 leaves -> depth 7
+        assert!(t.depth() <= 8, "depth {} too large", t.depth());
     }
 
     #[test]
@@ -1251,15 +1249,17 @@ mod tests {
     fn soa_mirror_transposes_every_leaf() {
         let ds = scatter_dataset(1500);
         let d = ds.dim();
-        for (threads, lanes) in [(1, 8), (4, 8), (1, 4), (4, 16), (3, 5)] {
+        // leaves smaller than one lane group (bucket 13) and the default
+        // multi-group leaves; a config carrying another lane width still
+        // scans, pads and reports the one width
+        for (threads, bucket, lanes) in [(1, 13, 16), (4, 13, 8), (3, 64, 5), (4, 64, 16)] {
             let cfg = BuildConfig::default()
-                .with_bucket_size(13)
+                .with_bucket_size(bucket)
                 .with_threads(threads)
                 .with_kernel(KernelConfig { lanes, ..KernelConfig::default() });
             let t = BkdTree::build_with_config(ds.clone(), Metric::Euclidean, cfg);
-            assert_eq!(t.kernel_config().layout, KernelLayout::Lanes);
-            let lanes = t.kernel_config().lanes;
-            assert!(crate::kernel::LANE_WIDTHS.contains(&lanes), "lane width is normalized");
+            assert_eq!(t.kernel_config(), KernelConfig::default());
+            let lanes = DEFAULT_LANES;
             let (mut covered, mut padded) = (0usize, 0usize);
             for (start, end) in t.leaf_ranges() {
                 assert_eq!(start, covered, "leaves tile [0, n) in node order");
@@ -1295,20 +1295,18 @@ mod tests {
         };
         let scalar = build(KernelConfig::scalar());
         assert!(scalar.soa.is_empty());
-        for lanes in crate::kernel::LANE_WIDTHS {
-            let t = build(KernelConfig::default().with_lanes(lanes));
-            // BroadcastCreate ships `shipped_bytes`: equal across layouts
-            // and lane widths, so traces are too
-            assert_eq!(t.shipped_bytes(), scalar.shipped_bytes(), "lanes={lanes}");
-            let padded_rows: usize =
-                t.leaf_ranges().iter().map(|&(s, e)| (e - s).next_multiple_of(lanes)).sum();
-            assert!(padded_rows > ds.len(), "bucket 16 leaves leave padding at {lanes} lanes");
-            assert_eq!(
-                t.size_bytes(),
-                scalar.size_bytes() + padded_rows * ds.dim() * std::mem::size_of::<f64>(),
-                "size_bytes counts the padded mirror, padding included"
-            );
-        }
+        let t = build(KernelConfig::default());
+        // BroadcastCreate ships `shipped_bytes`: equal across layouts, so
+        // traces are too
+        assert_eq!(t.shipped_bytes(), scalar.shipped_bytes());
+        let padded_rows: usize =
+            t.leaf_ranges().iter().map(|&(s, e)| (e - s).next_multiple_of(DEFAULT_LANES)).sum();
+        assert!(padded_rows > ds.len(), "62–63-row default leaves leave padding");
+        assert_eq!(
+            t.size_bytes(),
+            scalar.size_bytes() + padded_rows * ds.dim() * std::mem::size_of::<f64>(),
+            "size_bytes counts the padded mirror, padding included"
+        );
     }
 
     #[test]

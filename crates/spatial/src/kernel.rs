@@ -12,16 +12,18 @@
 //!
 //! On top of the row-major kernels sits the **lane-blocked SoA kernel**
 //! ([`scan_block_soa`]): it scans a leaf block stored dimension-major
-//! (all `x`s, then all `y`s, …), accumulating a whole group of `LANES`
-//! points into a fixed-width `[f64; LANES]` stack buffer that LLVM
-//! auto-vectorizes on stable, or into explicit AVX2 / AVX-512
-//! registers when the host has them (picked once per block). One lane
-//! per point: each point's per-dimension sum runs in the exact
+//! (all `x`s, then all `y`s, …), accumulating a whole group of
+//! [`DEFAULT_LANES`] = 16 points into a fixed-width `[f64; 16]` stack
+//! buffer that LLVM auto-vectorizes on stable, or into explicit AVX2 /
+//! AVX-512 registers when the host has them (picked once per block).
+//! One lane per point: each point's per-dimension sum runs in the exact
 //! sequential coordinate order of the scalar kernels, so every distance
 //! is the same `f64` bit for bit — vectorization happens *across*
 //! points, never inside one point's accumulation. The threshold test is
 //! a branch-free compare-to-bitmask, so dense and sparse blocks cost
-//! the same per row.
+//! the same per row. 16 is the only lane width: the default kd-tree
+//! leaf ([`crate::bkdtree::DEFAULT_BUCKET_SIZE`] = 64 points) is four
+//! groups, so a leaf scan is one short loop of full-width groups.
 //!
 //! **Padded blocks, masked tails.** SoA columns have a stride of the
 //! row count rounded up to the lane width, so a scan is whole lane
@@ -58,12 +60,15 @@ use crate::metric::Metric;
 /// neighborhood grids for (`MAX_NEIGHBORHOOD_DIM = 6`).
 pub const SPECIALIZED_DIMS: [usize; 5] = [2, 3, 4, 5, 6];
 
-/// Lane widths the SoA kernels are monomorphized for.
-pub const LANE_WIDTHS: [usize; 3] = [4, 8, 16];
-
-/// Default lane width: 8 points per group is wide enough to fill an
-/// AVX2 register file without spilling the accumulators at `d = 6`.
-pub const DEFAULT_LANES: usize = 8;
+/// The SoA kernel's lane width: 16 points per group, the only width
+/// it is built for. On AVX-512 a group is two zmm accumulators, on AVX2
+/// four ymm (of sixteen registers, so nothing spills at any `d`).
+/// Measured end to end against 4 and 8 lanes on the tail-free kernel,
+/// 16 won on every `e2e_bench` workload; with 64-point leaves it also
+/// beat 8 lanes on 16-point leaves with AVX-512 compiled out, on AVX2
+/// and on portable code (EXPERIMENTS.md, "Tail-free leaf scans" and
+/// "Leaves sized for the lane kernel").
+pub const DEFAULT_LANES: usize = 16;
 
 /// How leaf blocks are stored and scanned. Every layout produces
 /// bit-identical results; only throughput changes.
@@ -77,15 +82,15 @@ pub enum KernelLayout {
 }
 
 /// Query-kernel configuration threaded through the resource bundle:
-/// leaf-block layout and lane width. Labels, executor stats, kernel
-/// counters and traces are byte-identical for every value; only
-/// throughput changes.
+/// the leaf-block layout. Labels, executor stats, kernel counters and
+/// traces are byte-identical for every value; only throughput changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Leaf-block layout and scan strategy.
     pub layout: KernelLayout,
-    /// Points per SoA lane group (normalized to one of
-    /// [`LANE_WIDTHS`]); ignored under [`KernelLayout::Scalar`].
+    /// Points per SoA lane group: always [`DEFAULT_LANES`], reported
+    /// for host descriptions. A tree scans at [`DEFAULT_LANES`] and
+    /// records that width whatever value its build config carried.
     pub lanes: usize,
 }
 
@@ -102,36 +107,23 @@ impl KernelConfig {
         KernelConfig { layout: KernelLayout::Scalar, ..Self::default() }
     }
 
-    /// Set the SoA lane width (normalized to one of [`LANE_WIDTHS`]).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = normalized_lanes(lanes);
-        self
-    }
-
     /// Defaults overlaid with the environment: `DBSCAN_KERNEL`
-    /// (`scalar`/`lanes`) and `DBSCAN_KERNEL_LANES` (lane width). Unset
-    /// or unparsable variables leave the default in place.
+    /// (`scalar`/`lanes`). Unset or unparsable values leave the default
+    /// in place.
     pub fn from_env() -> Self {
-        Self::from_env_values(
-            std::env::var("DBSCAN_KERNEL").ok().as_deref(),
-            std::env::var("DBSCAN_KERNEL_LANES").ok().as_deref(),
-        )
+        Self::from_env_values(std::env::var("DBSCAN_KERNEL").ok().as_deref())
     }
 
     /// The pure core of [`KernelConfig::from_env`], taking the raw
-    /// variable values so tests can exercise the parsing contract
+    /// variable value so tests can exercise the parsing contract
     /// without touching the process environment. Never panics, never
-    /// errors: junk keeps the default for that knob. The lane width is
-    /// parsed by [`parse_env_uint`], so `+4` is junk too.
-    pub fn from_env_values(layout: Option<&str>, lanes: Option<&str>) -> Self {
+    /// errors: junk keeps the default.
+    pub fn from_env_values(layout: Option<&str>) -> Self {
         let mut cfg = Self::default();
         match layout.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
             Some("scalar") => cfg.layout = KernelLayout::Scalar,
             Some("lanes") => cfg.layout = KernelLayout::Lanes,
             _ => {}
-        }
-        if let Some(l) = lanes.and_then(parse_env_uint::<usize>) {
-            cfg.lanes = normalized_lanes(l);
         }
         cfg
     }
@@ -148,17 +140,6 @@ pub fn parse_env_uint<T: std::str::FromStr>(v: &str) -> Option<T> {
         return None;
     }
     t.parse::<T>().ok()
-}
-
-/// Snap an arbitrary lane request to the nearest monomorphized width.
-fn normalized_lanes(lanes: usize) -> usize {
-    if lanes <= 4 {
-        4
-    } else if lanes <= 8 {
-        8
-    } else {
-        16
-    }
 }
 
 /// Per-run kernel instrumentation, accumulated on
@@ -294,16 +275,19 @@ fn scan_rows<const D: usize, G: Fn(&[f64; D]) -> f64, F: FnMut(usize) -> bool>(
     true
 }
 
-// ---- lane-blocked SoA kernels ------------------------------------------
+// ---- lane-blocked SoA kernel -------------------------------------------
+
+/// Lane width inside the kernel (shorthand for [`DEFAULT_LANES`]).
+const L: usize = DEFAULT_LANES;
 
 /// Scan a padded dimension-major (SoA) block of `rows` points, invoking
 /// `on_match(i)` for every row within `thr`, **in row order** — the same
 /// callback sequence, stops included, as [`scan_block`] over the
 /// row-major transpose of the block. Coordinate `k` of point `i` sits at
 /// `soa[k * stride + i]`; `stride` must be at least `rows` rounded up to
-/// the (normalized) lane width and `soa` must hold `dim * stride`
-/// values. Rows `rows..stride` are padding, masked out of the hits, so
-/// their contents never matter.
+/// [`DEFAULT_LANES`] and `soa` must hold `dim * stride` values. Rows
+/// `rows..stride` are padding, masked out of the hits, so their
+/// contents never matter.
 ///
 /// # Panics
 ///
@@ -318,22 +302,40 @@ pub fn scan_block_soa<F: FnMut(usize) -> bool>(
     stride: usize,
     rows: usize,
     thr: f64,
-    lanes: usize,
     on_match: F,
 ) -> bool {
     if rows == 0 || dim == 0 {
         return true;
     }
     let b = SoaBlock { metric, dim, query, soa, stride, thr };
-    match normalized_lanes(lanes) {
-        4 => scan_soa_groups::<4, F>(b, rows, on_match),
-        16 => scan_soa_groups::<16, F>(b, rows, on_match),
-        _ => scan_soa_groups::<8, F>(b, rows, on_match),
+    assert!(
+        rows.checked_next_multiple_of(L).is_some_and(|padded| padded <= stride)
+            && dim.checked_mul(stride).is_some_and(|len| len <= soa.len()),
+        "SoA block of {} values cannot hold {rows} rows at stride {stride} x {dim} dims",
+        soa.len(),
+    );
+    // pick the widest group mask the host supports (all are
+    // bit-identical); each ISA runs the same `scan_groups` loop inside
+    // a `#[target_feature]` function, so the mask inlines
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: avx512f was just detected on this CPU, and the
+            // assert above is the block-size contract.
+            return unsafe { scan_groups_avx512(b, rows, on_match) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: as above, for avx2.
+            return unsafe { scan_groups_avx2(b, rows, on_match) };
+        }
     }
+    scan_groups(rows, move |base| group_mask_portable(b, base), on_match)
 }
 
 /// One padded SoA block under one query: everything a lane group's
-/// mask needs except the group's first row.
+/// mask needs except the group's first row. Captured by value (`move`)
+/// in the mask closures: by reference, LLVM reloaded the block's fields
+/// on every group, visibly slower.
 #[derive(Clone, Copy)]
 struct SoaBlock<'a> {
     metric: Metric,
@@ -344,40 +346,6 @@ struct SoaBlock<'a> {
     thr: f64,
 }
 
-/// Check the padded block once, then pick the widest group-mask kernel
-/// the host supports (all are bit-identical). Each ISA runs the same
-/// [`scan_groups`] loop inside a `#[target_feature]` function, so the
-/// mask inlines. The mask closures are `move`: by reference, LLVM
-/// reloaded the block's fields on every group, visibly slower.
-#[inline(always)]
-fn scan_soa_groups<const L: usize, F: FnMut(usize) -> bool>(
-    b: SoaBlock,
-    rows: usize,
-    on_match: F,
-) -> bool {
-    assert!(
-        rows.checked_next_multiple_of(L).is_some_and(|padded| padded <= b.stride)
-            && b.dim.checked_mul(b.stride).is_some_and(|len| len <= b.soa.len()),
-        "SoA block of {} values cannot hold {rows} rows at stride {} x {} dims",
-        b.soa.len(),
-        b.stride,
-        b.dim
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if L >= 8 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: avx512f was just detected on this CPU, and the
-            // assert above is the block-size contract.
-            return unsafe { scan_groups_avx512::<L, F>(b, rows, on_match) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above, for avx2.
-            return unsafe { scan_groups_avx2::<L, F>(b, rows, on_match) };
-        }
-    }
-    scan_groups::<L, _, F>(rows, move |base| group_mask_portable::<L>(b, base), on_match)
-}
-
 /// [`scan_groups`] over [`group_mask_avx512`].
 ///
 /// # Safety
@@ -386,7 +354,7 @@ fn scan_soa_groups<const L: usize, F: FnMut(usize) -> bool>(
 /// columns of stride `b.stride >= rows.next_multiple_of(L)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn scan_groups_avx512<const L: usize, F: FnMut(usize) -> bool>(
+unsafe fn scan_groups_avx512<F: FnMut(usize) -> bool>(
     b: SoaBlock,
     rows: usize,
     on_match: F,
@@ -394,7 +362,7 @@ unsafe fn scan_groups_avx512<const L: usize, F: FnMut(usize) -> bool>(
     // SAFETY: the CPU has avx512f (this function's contract), and
     // `scan_groups` only asks for groups with base % L == 0 and
     // base < rows, so base + L <= stride.
-    scan_groups::<L, _, F>(rows, move |base| unsafe { group_mask_avx512::<L>(b, base) }, on_match)
+    scan_groups(rows, move |base| unsafe { group_mask_avx512(b, base) }, on_match)
 }
 
 /// [`scan_groups`] over [`group_mask_avx2`].
@@ -405,20 +373,16 @@ unsafe fn scan_groups_avx512<const L: usize, F: FnMut(usize) -> bool>(
 /// stride `b.stride >= rows.next_multiple_of(L)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scan_groups_avx2<const L: usize, F: FnMut(usize) -> bool>(
-    b: SoaBlock,
-    rows: usize,
-    on_match: F,
-) -> bool {
+unsafe fn scan_groups_avx2<F: FnMut(usize) -> bool>(b: SoaBlock, rows: usize, on_match: F) -> bool {
     // SAFETY: as in `scan_groups_avx512`, for avx2.
-    scan_groups::<L, _, F>(rows, move |base| unsafe { group_mask_avx2::<L>(b, base) }, on_match)
+    scan_groups(rows, move |base| unsafe { group_mask_avx2(b, base) }, on_match)
 }
 
 /// The one lane-group loop: full groups only, the last group's mask cut
 /// to the rows that exist, hits reported in row order via
 /// `trailing_zeros` — the usual all-zero mask skips the emission loop.
 #[inline(always)]
-fn scan_groups<const L: usize, M: Fn(usize) -> u32, F: FnMut(usize) -> bool>(
+fn scan_groups<M: Fn(usize) -> u32, F: FnMut(usize) -> bool>(
     rows: usize,
     group_mask: M,
     mut on_match: F,
@@ -440,12 +404,12 @@ fn scan_groups<const L: usize, M: Fn(usize) -> u32, F: FnMut(usize) -> bool>(
     true
 }
 
-/// Within-threshold bitmask of the `L`-point group at row `base` (bit
+/// Within-threshold bitmask of the 16-point group at row `base` (bit
 /// `j` set iff point `base + j` is within `thr`): [`group_distances`]
 /// plus a branch-free compare LLVM lowers to a vector compare + movemask.
 #[inline(always)]
-fn group_mask_portable<const L: usize>(b: SoaBlock, base: usize) -> u32 {
-    let acc = group_distances::<L>(b, base);
+fn group_mask_portable(b: SoaBlock, base: usize) -> u32 {
+    let acc = group_distances(b, base);
     let mut mask = 0u32;
     for (j, &a) in acc.iter().enumerate() {
         mask |= u32::from(a <= b.thr) << j;
@@ -466,22 +430,21 @@ fn group_mask_portable<const L: usize>(b: SoaBlock, base: usize) -> u32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn group_mask_avx2<const L: usize>(b: SoaBlock, base: usize) -> u32 {
+unsafe fn group_mask_avx2(b: SoaBlock, base: usize) -> u32 {
     use std::arch::x86_64::*;
-    debug_assert!(L.is_multiple_of(4) && base + L <= b.stride && b.soa.len() >= b.dim * b.stride);
+    debug_assert!(base + L <= b.stride && b.soa.len() >= b.dim * b.stride);
     let t = _mm256_set1_pd(b.thr);
     let abs_mask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
     // coordinate-outer so the query broadcast is paid once per group
     // per dimension; the whole group's accumulators live in registers
-    // (L <= 16, so at most four of the sixteen ymm registers)
-    let n = L / 4;
-    let mut acc = [_mm256_setzero_pd(); 4];
+    // (four of the sixteen ymm registers)
+    let mut acc = [_mm256_setzero_pd(); L / 4];
     for (k, &q) in b.query.iter().enumerate().take(b.dim) {
         let qv = _mm256_set1_pd(q);
         // SAFETY: k < dim and base + L <= stride (caller contract), so
         // all L lanes lie inside column k of the block.
         let colp = unsafe { b.soa.as_ptr().add(k * b.stride + base) };
-        for (c, a) in acc.iter_mut().enumerate().take(n) {
+        for (c, a) in acc.iter_mut().enumerate() {
             // SAFETY: c < L / 4, so lanes 4c..4c + 4 lie in the group.
             let col = unsafe { _mm256_loadu_pd(colp.add(4 * c)) };
             let delta = _mm256_sub_pd(qv, col);
@@ -493,16 +456,16 @@ unsafe fn group_mask_avx2<const L: usize>(b: SoaBlock, base: usize) -> u32 {
         }
     }
     let mut mask = 0u32;
-    for (c, &a) in acc.iter().enumerate().take(n) {
+    for (c, &a) in acc.iter().enumerate() {
         let le = _mm256_cmp_pd::<_CMP_LE_OQ>(a, t);
         mask |= (_mm256_movemask_pd(le) as u32) << (4 * c);
     }
     mask
 }
 
-/// [`group_mask_avx2`] at AVX-512 width: zmm accumulators (`L = 8` is
-/// one register, `L = 16` two) and the compare lands in a mask register
-/// via `vcmppd k, ...`. Same per-lane IEEE ops in the same order.
+/// [`group_mask_avx2`] at AVX-512 width: two zmm accumulators, and the
+/// compare lands in a mask register via `vcmppd k, ...`. Same per-lane
+/// IEEE ops in the same order.
 ///
 /// # Safety
 ///
@@ -511,18 +474,17 @@ unsafe fn group_mask_avx2<const L: usize>(b: SoaBlock, base: usize) -> u32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn group_mask_avx512<const L: usize>(b: SoaBlock, base: usize) -> u32 {
+unsafe fn group_mask_avx512(b: SoaBlock, base: usize) -> u32 {
     use std::arch::x86_64::*;
-    debug_assert!(L.is_multiple_of(8) && base + L <= b.stride && b.soa.len() >= b.dim * b.stride);
+    debug_assert!(base + L <= b.stride && b.soa.len() >= b.dim * b.stride);
     let t = _mm512_set1_pd(b.thr);
-    let n = L / 8;
-    let mut acc = [_mm512_setzero_pd(); 2];
+    let mut acc = [_mm512_setzero_pd(); L / 8];
     for (k, &q) in b.query.iter().enumerate().take(b.dim) {
         let qv = _mm512_set1_pd(q);
         // SAFETY: k < dim and base + L <= stride (caller contract), so
         // all L lanes lie inside column k of the block.
         let colp = unsafe { b.soa.as_ptr().add(k * b.stride + base) };
-        for (c, a) in acc.iter_mut().enumerate().take(n) {
+        for (c, a) in acc.iter_mut().enumerate() {
             // SAFETY: c < L / 8, so lanes 8c..8c + 8 lie in the group.
             let col = unsafe { _mm512_loadu_pd(colp.add(8 * c)) };
             let delta = _mm512_sub_pd(qv, col);
@@ -534,7 +496,7 @@ unsafe fn group_mask_avx512<const L: usize>(b: SoaBlock, base: usize) -> u32 {
         }
     }
     let mut mask = 0u32;
-    for (c, &a) in acc.iter().enumerate().take(n) {
+    for (c, &a) in acc.iter().enumerate() {
         mask |= (_mm512_cmp_pd_mask::<_CMP_LE_OQ>(a, t) as u32) << (8 * c);
     }
     mask
@@ -546,7 +508,7 @@ unsafe fn group_mask_avx512<const L: usize>(b: SoaBlock, base: usize) -> u32 {
 /// `0..L` loop over a length-proven column slice is what LLVM turns
 /// into vector code.
 #[inline(always)]
-fn group_distances<const L: usize>(b: SoaBlock, base: usize) -> [f64; L] {
+fn group_distances(b: SoaBlock, base: usize) -> [f64; L] {
     let mut acc = [0.0f64; L];
     let column = |k: usize| -> &[f64; L] {
         b.soa[k * b.stride + base..k * b.stride + base + L].try_into().expect("full lane group")
@@ -724,11 +686,11 @@ mod tests {
     #[test]
     fn soa_scan_matches_row_major_scan() {
         for dim in 1..=8 {
-            // rows chosen to leave a partial last group at every lane width
-            let data = block(dim, 43);
             let q: Vec<f64> = (0..dim).map(|k| (k as f64) * 1.3).collect();
-            for lanes in LANE_WIDTHS {
-                let stride = 43usize.next_multiple_of(lanes);
+            // one short group, one full group, and a partial last group
+            for rows in [5usize, 16, 43] {
+                let data = block(dim, rows);
+                let stride = rows.next_multiple_of(DEFAULT_LANES);
                 let soa = soa_of(&data, dim, stride);
                 for m in METRICS {
                     for thr in [0.0, 10.0, 1000.0, f64::INFINITY] {
@@ -738,14 +700,11 @@ mod tests {
                             row_major.push(i);
                             true
                         }));
-                        assert!(scan_block_soa(m, dim, &q, &soa, stride, 43, thr, lanes, |i| {
+                        assert!(scan_block_soa(m, dim, &q, &soa, stride, rows, thr, |i| {
                             lane.push(i);
                             true
                         }));
-                        assert_eq!(
-                            row_major, lane,
-                            "dim={dim} metric={m:?} thr={thr} lanes={lanes}"
-                        );
+                        assert_eq!(row_major, lane, "dim={dim} metric={m:?} thr={thr} rows={rows}");
                     }
                 }
             }
@@ -765,7 +724,7 @@ mod tests {
                     hits.len() < cap
                 };
                 let finished = if soa_path {
-                    scan_block_soa(Metric::Euclidean, 3, &q, &soa, 112, 100, f64::INFINITY, 16, cb)
+                    scan_block_soa(Metric::Euclidean, 3, &q, &soa, 112, 100, f64::INFINITY, cb)
                 } else {
                     scan_block(Metric::Euclidean, 3, &q, &data, f64::INFINITY, cb)
                 };
@@ -780,7 +739,7 @@ mod tests {
     fn soa_scan_rejects_an_unpadded_block() {
         let data = block(2, 13);
         let soa = soa_of(&data, 2, 13);
-        scan_block_soa(Metric::Euclidean, 2, &[0.0, 0.0], &soa, 13, 13, 1.0, 8, |_| true);
+        scan_block_soa(Metric::Euclidean, 2, &[0.0, 0.0], &soa, 13, 13, 1.0, |_| true);
     }
 
     #[test]
@@ -788,7 +747,7 @@ mod tests {
     fn soa_scan_rejects_a_stride_that_overflows() {
         let soa = vec![0.0; 64];
         let stride = usize::MAX / 2 + 1;
-        scan_block_soa(Metric::Euclidean, 2, &[0.0, 0.0], &soa, stride, 13, 1.0, 8, |_| true);
+        scan_block_soa(Metric::Euclidean, 2, &[0.0, 0.0], &soa, stride, 13, 1.0, |_| true);
     }
 
     #[test]
@@ -824,7 +783,7 @@ mod tests {
         for dim in [1, 2, 3, 4, 5, 6, 7] {
             let q = vec![0.0; dim];
             assert!(scan_block(Metric::Euclidean, dim, &q, &[], 1.0, |_| panic!("no rows")));
-            assert!(scan_block_soa(Metric::Euclidean, dim, &q, &[], 0, 0, 1.0, 8, |_| panic!(
+            assert!(scan_block_soa(Metric::Euclidean, dim, &q, &[], 0, 0, 1.0, |_| panic!(
                 "no rows"
             )));
         }
@@ -842,21 +801,15 @@ mod tests {
         let d = KernelConfig::default();
         assert_eq!(d.layout, KernelLayout::Lanes);
         assert_eq!(d.lanes, DEFAULT_LANES);
-        assert_eq!(KernelConfig::from_env_values(None, None), d);
-        let c = KernelConfig::from_env_values(Some(" SCALAR "), Some("5"));
+        assert_eq!(KernelConfig::from_env_values(None), d);
+        let c = KernelConfig::from_env_values(Some(" SCALAR "));
         assert_eq!(c.layout, KernelLayout::Scalar);
-        assert_eq!(c.lanes, 8, "5 snaps up to the nearest monomorphized width");
-        // junk keeps defaults per knob
-        let j = KernelConfig::from_env_values(Some("simd"), Some("lots"));
-        assert_eq!(j, d);
-        assert_eq!(KernelConfig::from_env_values(None, Some("99")).lanes, 16);
-        assert_eq!(KernelConfig::from_env_values(None, Some("1")).lanes, 4);
-        // strict digit-only parsing, shared with the other DBSCAN_* integers
-        assert_eq!(KernelConfig::from_env_values(None, Some(" 4 ")).lanes, 4);
-        for junk in ["+4", "-1", "", "4.0", "0x10"] {
-            assert_eq!(KernelConfig::from_env_values(None, Some(junk)), d, "{junk:?}");
+        assert_eq!(c.lanes, DEFAULT_LANES, "the scalar layout keeps the one lane width");
+        assert_eq!(KernelConfig::from_env_values(Some("lanes")), d);
+        // junk keeps the default
+        for junk in ["simd", "", "16", "lanes16"] {
+            assert_eq!(KernelConfig::from_env_values(Some(junk)), d, "{junk:?}");
         }
-        assert_eq!(KernelConfig::from_env_values(None, Some(" 8 ")), d);
         assert_eq!(KernelConfig::scalar().layout, KernelLayout::Scalar);
     }
 

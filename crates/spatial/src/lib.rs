@@ -48,7 +48,7 @@ pub use index::SpatialIndex;
 pub use kdtree::{KdTree, PruneConfig};
 pub use kernel::{
     metric_kernel, parse_env_uint, scan_block, scan_block_generic, scan_block_soa, transpose_block,
-    KernelConfig, KernelCounters, KernelLayout, DEFAULT_LANES, LANE_WIDTHS, SPECIALIZED_DIMS,
+    KernelConfig, KernelCounters, KernelLayout, DEFAULT_LANES, SPECIALIZED_DIMS,
 };
 pub use metric::{chebyshev, euclidean, manhattan, squared_euclidean, Metric};
 pub use point::PointId;

@@ -6,7 +6,7 @@
 
 use dbscan_spatial::{
     scan_block, scan_block_generic, scan_block_soa, transpose_block, BkdTree, BruteForceIndex,
-    Dataset, Metric, PointId, QueryScratch, SpatialIndex, LANE_WIDTHS, SPECIALIZED_DIMS,
+    Dataset, Metric, PointId, QueryScratch, SpatialIndex, DEFAULT_LANES, SPECIALIZED_DIMS,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -102,7 +102,7 @@ proptest! {
     fn bkdtree_matches_bruteforce_specialized_dims(
         seed_rows in dataset_strategy(7),
         eps in 0.0f64..40.0,
-        bucket in 1usize..=16,
+        bucket in 1usize..=64,
         metric_idx in 0usize..3,
     ) {
         let metric = METRICS[metric_idx];
@@ -161,18 +161,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The padded lane-blocked SoA scan reports exactly the rows the
-    /// scalar scan reports, in the same order, for every metric and
-    /// lane width — including the early-exit row when the callback
-    /// stops. `rows` covers every remainder of 4, 8 and 16 lanes and
-    /// `dim` reaches the generic `d > 6` path. Each padding slot holds
+    /// scalar scan reports, in the same order, for every metric —
+    /// including the early-exit row when the callback stops. `rows`
+    /// covers every remainder of the 16-lane group up to a default
+    /// 64-point leaf, and `dim` reaches the generic `d > 6` path. Each padding slot holds
     /// the query's own coordinate, so a pad row that escaped the mask
     /// would be a hit at distance 0; rows flagged in `dups` are copies
     /// of the query too, so the partial last group has hits to stop in.
     #[test]
     fn soa_scan_is_bit_identical_to_scalar(
         dim in 1usize..=12,
-        rows in 0usize..=48,
-        coords in prop::collection::vec(-50.0f64..50.0, 48 * 12),
+        rows in 0usize..=64,
+        coords in prop::collection::vec(-50.0f64..50.0, 64 * 12),
         q12 in prop::collection::vec(-60.0f64..60.0, 12..=12),
         dups in any::<u64>(),
         eps in 0.0f64..60.0,
@@ -196,37 +196,34 @@ proptest! {
         for metric in METRICS {
             let thr = metric.threshold(eps);
             let all_hits = scalar_scan(metric, thr, None).1;
-            for lanes in LANE_WIDTHS {
-                let stride = rows.next_multiple_of(lanes);
-                let mut soa = vec![0.0f64; dim * stride];
-                for (k, &qk) in q.iter().enumerate() {
-                    soa[k * stride..(k + 1) * stride].fill(qk);
-                }
-                transpose_block(&block, dim, stride, &mut soa);
-                // a random cap, and a cap that stops on the first hit
-                // inside the partial last group (when it has one)
-                let tail = rows / lanes * lanes;
-                let tail_cap = all_hits
-                    .iter()
-                    .position(|&i| i >= tail)
-                    .filter(|_| rows % lanes != 0)
-                    .map(|before| before + 1);
-                for cap in [None, (cap_raw > 0).then_some(cap_raw), tail_cap] {
-                    let mut hits = Vec::new();
-                    let finished =
-                        scan_block_soa(metric, dim, q, &soa, stride, rows, thr, lanes, |i| {
-                            hits.push(i);
-                            cap.is_none_or(|c| hits.len() < c)
-                        });
-                    prop_assert_eq!(
-                        &(finished, hits),
-                        &scalar_scan(metric, thr, cap),
-                        "metric={:?} lanes={} cap={:?}",
-                        metric,
-                        lanes,
-                        cap
-                    );
-                }
+            let lanes = DEFAULT_LANES;
+            let stride = rows.next_multiple_of(lanes);
+            let mut soa = vec![0.0f64; dim * stride];
+            for (k, &qk) in q.iter().enumerate() {
+                soa[k * stride..(k + 1) * stride].fill(qk);
+            }
+            transpose_block(&block, dim, stride, &mut soa);
+            // a random cap, and a cap that stops on the first hit
+            // inside the partial last group (when it has one)
+            let tail = rows / lanes * lanes;
+            let tail_cap = all_hits
+                .iter()
+                .position(|&i| i >= tail)
+                .filter(|_| rows % lanes != 0)
+                .map(|before| before + 1);
+            for cap in [None, (cap_raw > 0).then_some(cap_raw), tail_cap] {
+                let mut hits = Vec::new();
+                let finished = scan_block_soa(metric, dim, q, &soa, stride, rows, thr, |i| {
+                    hits.push(i);
+                    cap.is_none_or(|c| hits.len() < c)
+                });
+                prop_assert_eq!(
+                    &(finished, hits),
+                    &scalar_scan(metric, thr, cap),
+                    "metric={:?} cap={:?}",
+                    metric,
+                    cap
+                );
             }
         }
     }

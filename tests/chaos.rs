@@ -436,9 +436,14 @@ fn chaos_kernel_layouts_match_clean_under_every_plan() {
     // across task attempts — retries, stragglers and executor kills must
     // never leak a stale epoch or counter into the labels: every kernel
     // cell under every fault plan reproduces the clean default-kernel
-    // run byte for byte
-    let kernels =
-        [KernelConfig::default(), KernelConfig::default().with_lanes(4), KernelConfig::scalar()];
+    // run byte for byte. Bucket 8 is a leaf smaller than one lane group;
+    // the exact path's labels do not depend on leaf geometry.
+    let default_bucket = BuildConfig::default().bucket_size;
+    let kernels = [
+        (KernelConfig::default(), default_bucket),
+        (KernelConfig::default(), 8),
+        (KernelConfig::scalar(), default_bucket),
+    ];
     for seed in SEEDS {
         let (data, params) = dataset(seed);
 
@@ -450,13 +455,15 @@ fn chaos_kernel_layouts_match_clean_under_every_plan() {
             .canonicalize();
 
         for (plan_name, plan) in plans() {
-            for kernel in kernels {
+            for (kernel, bucket) in kernels {
                 let tag = format!(
-                    "seed={seed} plan={plan_name} runner=spark-kernel-{:?}-l{}",
-                    kernel.layout, kernel.lanes
+                    "seed={seed} plan={plan_name} runner=spark-kernel-{:?}-b{bucket}",
+                    kernel.layout
                 );
                 let ctx = Context::new(chaos_config(seed, &plan));
-                let res = Resources::new().with_build(BuildConfig::default().with_kernel(kernel));
+                let res = Resources::new().with_build(
+                    BuildConfig::default().with_kernel(kernel).with_bucket_size(bucket),
+                );
                 let out =
                     SparkDbscan::new(params).exact().resources(res).run(&ctx, Arc::clone(&data));
                 let trace = ctx.trace().snapshot();
